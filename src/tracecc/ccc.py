@@ -8,18 +8,31 @@ words, where only the shortcut value is available.
 
 The bound evaluation is exact integer/rational arithmetic throughout;
 optimality means M * denominator == n * d with no floating point involved.
+
+CONSTRUCTIONS is the one place that tells the paper's three constructions
+apart; everything else handles construction names only.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import NamedTuple, Optional
+from typing import Callable, NamedTuple, Optional
 
 import numpy as np
 
 from .charsums import quadratic_trace_sign
-from .codes import TraceCode, minimum_distance
+from .codes import (
+    TraceCode,
+    build_defining_set_D,
+    build_defining_set_E,
+    build_trace_code,
+    codewords_as_strings,
+    distinct_row_indices,
+    minimum_distance,
+    predicted_weight_distribution_lem41,
+    predicted_weight_distribution_thm31,
+)
 from .errors import (
     CompositionLengthMismatch,
     CompositionViolation,
@@ -68,32 +81,19 @@ class CccParams(NamedTuple):
     omega: tuple
 
 
+@dataclass(eq=False)
 class CccCode:
     """Extracted subcode with its composition vector and both distance routes."""
 
-    def __init__(
-        self,
-        source: TraceCode,
-        construction: str,
-        index_set_kind: str,
-        words: np.ndarray,
-        composition: tuple,
-        index_count: int,
-        d_pairwise: Optional[int],
-        d_ambient: int,
-        alpha=None,
-        tau=None,
-    ):
-        self.source = source
-        self.construction = construction  # "first" | "second-S" | "second-complement"
-        self.index_set_kind = index_set_kind
-        self.words = words
-        self.composition = composition
-        self.index_count = index_count
-        self.d_pairwise = d_pairwise
-        self.d_ambient = d_ambient
-        self.alpha = alpha
-        self.tau = tau
+    source: TraceCode
+    construction: str  # a key of CONSTRUCTIONS
+    words: np.ndarray
+    composition: tuple
+    index_count: int
+    d_pairwise: Optional[int]
+    d_ambient: int
+    alpha: Optional[int] = None
+    tau: Optional[int] = None
 
     @property
     def n(self) -> int:
@@ -121,16 +121,6 @@ class CccCode:
         )
 
 
-def _dedupe_rows(rows: np.ndarray) -> np.ndarray:
-    seen = {}
-    for i in range(rows.shape[0]):
-        key = rows[i].tobytes()
-        if key not in seen:
-            seen[key] = i
-    keep = np.fromiter(seen.values(), dtype=np.int64, count=len(seen))
-    return rows[keep]
-
-
 def _constant_composition(words: np.ndarray, p: int) -> tuple:
     counts = np.stack([(words == s).sum(axis=1) for s in range(p)], axis=1)
     if not (counts == counts[0]).all():
@@ -141,70 +131,42 @@ def _constant_composition(words: np.ndarray, p: int) -> tuple:
     return tuple(int(c) for c in counts[0])
 
 
-def _extract(code, keep_mask, construction, index_set_kind, pairwise_cap, alpha=None, tau=None):
-    rows = code.matrix[np.flatnonzero(keep_mask)]
-    words = _dedupe_rows(rows)
-    composition = _constant_composition(words, code.field.p)
+def _extract(code: TraceCode, construction: str, pairwise_cap: int) -> CccCode:
+    entry = CONSTRUCTIONS[construction]
+    ds = code.defining_set
+    if ds.kind != entry.defining_set:
+        raise ValueError(f"{construction} subcodes come from a {entry.defining_set} code")
+    field = code.field
+    rows = code.matrix[np.flatnonzero(entry.index_mask(field))]
+    words = rows[distinct_row_indices(rows)]
+    composition = _constant_composition(words, field.p)
     d_ambient = minimum_distance(code)
     d_pairwise = pairwise_min_distance(words) if words.shape[0] <= pairwise_cap else None
     return CccCode(
         code,
         construction,
-        index_set_kind,
         words,
         composition,
         index_count=int(rows.shape[0]),
         d_pairwise=d_pairwise,
         d_ambient=d_ambient,
-        alpha=alpha,
-        tau=tau,
+        alpha=ds.alpha,
+        tau=None if ds.kind == "D-alpha" else quadratic_trace_sign(field.p, field.m),
     )
 
 
 def extract_subcode_first(code: TraceCode, pairwise_cap: int = PAIRWISE_ORACLE_CAP) -> CccCode:
     """Subcode indexed by every a outside the prime subfield; deduplicated."""
-    if code.defining_set.kind != "D-alpha":
-        raise ValueError("first-construction subcodes come from a D(alpha) code")
-    field = code.field
-    keep = np.ones(field.q, dtype=bool)
-    keep[list(field.prime_subfield_indices())] = False
-    return _extract(
-        code,
-        keep,
-        construction="first",
-        index_set_kind="complement-of-Fp",
-        pairwise_cap=pairwise_cap,
-        alpha=code.defining_set.alpha,
-    )
+    return _extract(code, "first", pairwise_cap)
 
 
 def extract_subcode_second(
     code: TraceCode, which: str, pairwise_cap: int = PAIRWISE_ORACLE_CAP
 ) -> CccCode:
     """Subcode of a C_E code indexed by S = {a : Tr(a**2) != 0} or its complement."""
-    if code.defining_set.kind != "E":
-        raise ValueError("second-construction subcodes come from the E code")
-    field = code.field
-    trace_of_square = field.trace_table[field.square_index_table]
-    if which == "S":
-        keep = trace_of_square != 0  # zero element drops out automatically
-        kind = "S"
-        construction = "second-S"
-    elif which == "complement":
-        keep = trace_of_square == 0
-        keep[0] = False
-        kind = "complement-of-S"
-        construction = "second-complement"
-    else:
+    if which not in ("S", "complement"):
         raise ValueError("which must be 'S' or 'complement'")
-    return _extract(
-        code,
-        keep,
-        construction=construction,
-        index_set_kind=kind,
-        pairwise_cap=pairwise_cap,
-        tau=quadratic_trace_sign(field.p, field.m),
-    )
+    return _extract(code, f"second-{which}", pairwise_cap)
 
 
 # -- closed-form parameter predictions ---------------------------------------
@@ -288,20 +250,116 @@ def lfvc_evaluate(n: int, M: int, d: int, omega) -> LfvcReport:
     return LfvcReport(n, M, d, omega, denominator, bound, verdict)
 
 
+# -- the three constructions ----------------------------------------------------
+
+
+def _outside_prime_field(field) -> np.ndarray:
+    keep = np.ones(field.q, dtype=bool)
+    keep[list(field.prime_subfield_indices())] = False
+    return keep
+
+
+def _in_S(field) -> np.ndarray:
+    return field.trace_table[field.square_index_table] != 0  # zero drops out automatically
+
+
+def _outside_S(field) -> np.ndarray:
+    keep = field.trace_table[field.square_index_table] == 0
+    keep[0] = False
+    return keep
+
+
+def _first_bound_checks(sub: CccCode, report: LfvcReport) -> dict:
+    if sub.alpha == 0:
+        ok = report.verdict == "optimal" and sub.M * report.denominator == sub.n * sub.d
+    else:
+        ok = report.denominator == 0 and report.verdict == "bound-inapplicable"
+    return {"lfvc_verdict": ok}
+
+
+def _S_bound_checks(sub: CccCode, report: LfvcReport) -> dict:
+    return {
+        "lfvc_bound_inapplicable": (
+            report.denominator <= 0 and report.verdict == "bound-inapplicable"
+        ),
+        # index sets S, E and {0} partition the field
+        "index_partition": sub.index_count + sub.source.length + 1 == sub.source.field.q,
+    }
+
+
+def _complement_bound_checks(sub: CccCode, report: LfvcReport) -> dict:
+    recomputed = lfvc_evaluate(sub.n, sub.M, sub.d, sub.composition)
+    return {
+        "lfvc_consistent": recomputed == report
+        and (report.denominator <= 0 or sub.M * report.denominator <= sub.n * sub.d)
+    }
+
+
+class Construction(NamedTuple):
+    """Everything that tells one construction of the paper from the others."""
+
+    defining_set: str  # kind of the ambient code's defining set: "D-alpha" or "E"
+    which: Optional[str]  # the second family's index set: "S" or "complement"
+    index_mask: Callable  # field -> bool mask of the index set over canonical indices
+    predict: Callable  # (p, m, alpha) -> closed-form CccParams of the subcode
+    predict_census: Callable  # (p, m, alpha) -> closed-form ambient WeightDistribution
+    bound_checks: Callable  # (subcode, LfvcReport) -> {check name: bool}
+
+
+CONSTRUCTIONS = {
+    "first": Construction(
+        "D-alpha",
+        None,
+        _outside_prime_field,
+        predicted_ccc_first,
+        predicted_weight_distribution_thm31,
+        _first_bound_checks,
+    ),
+    "second-S": Construction(
+        "E",
+        "S",
+        _in_S,
+        lambda p, m, _alpha: predicted_ccc_second(p, m, "S"),
+        lambda p, m, _alpha: predicted_weight_distribution_lem41(p, m),
+        _S_bound_checks,
+    ),
+    "second-complement": Construction(
+        "E",
+        "complement",
+        _outside_S,
+        lambda p, m, _alpha: predicted_ccc_second(p, m, "complement"),
+        lambda p, m, _alpha: predicted_weight_distribution_lem41(p, m),
+        _complement_bound_checks,
+    ),
+}
+
+
+def build_construction(
+    field, construction: str, alpha=None, pairwise_cap: int = PAIRWISE_ORACLE_CAP
+) -> tuple:
+    """The ambient trace code and the subcode of one named construction.
+
+    `alpha` picks D(alpha) for the first construction and must be None for
+    the other two.
+    """
+    entry = CONSTRUCTIONS.get(construction)
+    if entry is None:
+        raise ValueError(f"unknown construction {construction!r}")
+    if entry.defining_set == "D-alpha":
+        if alpha is None:
+            raise ValueError("--alpha is required for the first construction")
+        code = build_trace_code(build_defining_set_D(field, alpha))
+        return code, extract_subcode_first(code, pairwise_cap=pairwise_cap)
+    if alpha is not None:
+        raise ValueError("--alpha applies to the first construction only")
+    code = build_trace_code(build_defining_set_E(field))
+    return code, extract_subcode_second(code, entry.which, pairwise_cap=pairwise_cap)
+
+
 # -- serialization -------------------------------------------------------------
 
 
-def predicted_params_for(subcode: CccCode) -> CccParams:
-    field = subcode.source.field
-    if subcode.construction == "first":
-        return predicted_ccc_first(field.p, field.m, subcode.alpha)
-    which = "S" if subcode.construction == "second-S" else "complement"
-    return predicted_ccc_second(field.p, field.m, which)
-
-
 def ccc_json(subcode: CccCode, emit_codewords: bool = False) -> dict:
-    from .codes import codewords_as_strings
-
     field = subcode.source.field
     doc = {"construction": subcode.construction, "p": field.p, "m": field.m}
     if subcode.alpha is not None:
@@ -315,7 +373,7 @@ def ccc_json(subcode: CccCode, emit_codewords: bool = False) -> dict:
     doc["d_ambient"] = subcode.d_ambient
     doc["omega"] = list(subcode.composition)
     doc["lfvc"] = subcode.lfvc().to_json_dict()
-    predicted = predicted_params_for(subcode)
+    predicted = CONSTRUCTIONS[subcode.construction].predict(field.p, field.m, subcode.alpha)
     doc["checks"] = {
         "composition_ok": True,  # extraction would have raised otherwise
         "distance_matches_ambient": (

@@ -18,16 +18,8 @@ from datetime import datetime, timezone
 from pathlib import Path
 
 from . import __version__
-from .ccc import ccc_json, extract_subcode_first, extract_subcode_second
-from .codes import (
-    build_defining_set_D,
-    build_defining_set_E,
-    build_trace_code,
-    minimum_distance,
-    trace_code_json,
-    weight_distribution,
-    weight_table_csv,
-)
+from .ccc import CONSTRUCTIONS, build_construction, ccc_json
+from .codes import minimum_distance, trace_code_json, weight_distribution, weight_table_csv
 from .errors import (
     DegenerateSet,
     EvenCharacteristic,
@@ -93,21 +85,8 @@ def _write_text(text: str, args) -> None:
 
 
 def _cmd_build(args) -> int:
-    modulus = _parse_modulus(args.modulus)
-    field = make_field(args.p, args.m, modulus)
-    if args.construction == "first":
-        if args.alpha is None:
-            raise ValueError("--alpha is required for the first construction")
-        ds = build_defining_set_D(field, args.alpha)
-        code = build_trace_code(ds)
-        sub = extract_subcode_first(code)
-    else:
-        if args.alpha is not None:
-            raise ValueError("--alpha applies to the first construction only")
-        ds = build_defining_set_E(field)
-        code = build_trace_code(ds)
-        which = "S" if args.construction == "second-S" else "complement"
-        sub = extract_subcode_second(code, which)
+    field = make_field(args.p, args.m, _parse_modulus(args.modulus))
+    code, sub = build_construction(field, args.construction, args.alpha)
 
     if args.format == "csv":
         _write_text(weight_table_csv(weight_distribution(code)), args)
@@ -159,7 +138,7 @@ def _cmd_verify_sweep(args) -> int:
             lines.append(f"ok    {inst.label()}  ({inst.seconds:.3f}s)")
         else:
             failed = [k for k, v in inst.checks.items() if v is False]
-            lines.append(f"FAIL  {inst.label()}  {failed}")
+            lines.append(f"FAIL  {inst.label()}  {inst.reason or failed}")
     summary = report.summary()
     lines.append(
         f"summary: pass={summary['pass']} fail={summary['fail']} skip={summary['skip']}"
@@ -243,11 +222,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_build = sub.add_parser("build", help="build one construction and report it")
     p_build.add_argument("--p", type=int, required=True, help="odd prime characteristic")
     p_build.add_argument("--m", type=int, required=True, help="extension degree")
-    p_build.add_argument(
-        "--construction",
-        choices=("first", "second-S", "second-complement"),
-        required=True,
-    )
+    p_build.add_argument("--construction", choices=tuple(CONSTRUCTIONS), required=True)
     p_build.add_argument("--alpha", type=int, help="trace value (first construction)")
     p_build.add_argument(
         "--emit-codewords", action="store_true", help="include codeword digit strings"
@@ -265,8 +240,8 @@ def build_parser() -> argparse.ArgumentParser:
     p_sweep.add_argument(
         "--constructions",
         nargs="*",
-        choices=("first", "second-S", "second-complement"),
-        default=["first", "second-S", "second-complement"],
+        choices=tuple(CONSTRUCTIONS),
+        default=list(CONSTRUCTIONS),
     )
     p_sweep.add_argument(
         "--alphas", default="all", help="'all' or comma-separated residues, e.g. 0,1"

@@ -120,7 +120,8 @@ class TraceCode:
         )
 
 
-def _distinct_first_occurrence(matrix: np.ndarray) -> np.ndarray:
+def distinct_row_indices(matrix: np.ndarray) -> np.ndarray:
+    """Index of the first occurrence of each distinct row, in row order."""
     seen = {}
     for i in range(matrix.shape[0]):
         key = matrix[i].tobytes()
@@ -147,7 +148,7 @@ def build_trace_code(ds: DefiningSet) -> TraceCode:
         chunk = digits[lo : lo + block] @ gen  # entries stay far below 2**24, exact
         chunk %= p
         matrix[lo : lo + block] = chunk.astype(np.int8)
-    first = _distinct_first_occurrence(matrix)
+    first = distinct_row_indices(matrix)
     distinct = matrix[first]
     count = distinct.shape[0]
     dimension = round(math.log(count, p))

@@ -73,6 +73,14 @@ def _smallest_irreducible(p, m):
     raise AssertionError("no irreducible polynomial found")  # unreachable
 
 
+def check_characteristic(p: int) -> None:
+    """Raise unless p is an odd prime."""
+    if p == 2:
+        raise EvenCharacteristic("characteristic 2 is not supported; p must be an odd prime")
+    if not _is_prime(p):
+        raise NotPrime(f"{p} is not prime")
+
+
 def make_field(p: int, m: int, modulus=None) -> "Field":
     """Construct GF(p**m) for an odd prime p.
 
@@ -82,10 +90,7 @@ def make_field(p: int, m: int, modulus=None) -> "Field":
     """
     if not isinstance(p, int) or not isinstance(m, int):
         raise TypeError("p and m must be integers")
-    if p == 2:
-        raise EvenCharacteristic("characteristic 2 is not supported; p must be an odd prime")
-    if not _is_prime(p):
-        raise NotPrime(f"{p} is not prime")
+    check_characteristic(p)
     if m < 1:
         raise ValueError("extension degree m must be at least 1")
     if modulus is None:
@@ -154,9 +159,6 @@ class Field:
         if not 0 <= index < self.q:
             raise ValueError("element index out of range")
         return FieldElement(self, tuple((index // w) % self.p for w in self._index_weights))
-
-    def elements(self, nonzero_only: bool = False):
-        return enumerate_field(self, nonzero_only)
 
     def prime_subfield_indices(self) -> tuple:
         """Canonical indices of the constants 0, 1, ..., p-1."""

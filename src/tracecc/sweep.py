@@ -3,7 +3,9 @@
 Each instance record pairs exhaustively enumerated quantities (weight
 censuses, subcode parameters, pairwise distances, fiber counts, character
 sums) with their closed-form predictions and reports one boolean per check.
-Instances run and merge in deterministic (p, m, construction, alpha) order.
+A sweep is planned first: every instance and every skip is decided, and the
+spec validated, before any instance runs. The plan then runs in its
+deterministic (p, m, construction, alpha) order.
 """
 
 from __future__ import annotations
@@ -12,14 +14,7 @@ import random
 import time
 from dataclasses import dataclass, field as dataclass_field
 
-from .ccc import (
-    PAIRWISE_ORACLE_CAP,
-    extract_subcode_first,
-    extract_subcode_second,
-    lfvc_evaluate,
-    predicted_ccc_first,
-    predicted_ccc_second,
-)
+from .ccc import CONSTRUCTIONS, PAIRWISE_ORACLE_CAP, build_construction
 from .charsums import (
     EPS,
     _component_deviation,
@@ -29,18 +24,9 @@ from .charsums import (
     gauss_sum_fq,
     quadratic_sum,
 )
-from .codes import (
-    build_defining_set_D,
-    build_defining_set_E,
-    build_trace_code,
-    predicted_weight_distribution_lem41,
-    predicted_weight_distribution_thm31,
-    weight_distribution,
-)
-from .errors import DegenerateSet, PredictionMismatch
-from .gfpm import Field, enumerate_field, make_field
-
-CONSTRUCTIONS = ("first", "second-S", "second-complement")
+from .codes import weight_distribution
+from .errors import DegenerateSet, PredictionMismatch, TraceCCError
+from .gfpm import Field, check_characteristic, enumerate_field, make_field
 
 #: quadratic-sum spot checks use every triple up to this field size, then sampling
 EXHAUSTIVE_TRIPLE_LIMIT = 27
@@ -53,7 +39,7 @@ class SweepSpec:
     m_min: int = 2
     m_max: int = 5
     q_cap: int = 100_000
-    constructions: tuple = CONSTRUCTIONS
+    constructions: tuple = tuple(CONSTRUCTIONS)
     alphas: object = "all"  # "all" or an explicit tuple of residues
     pairwise_cap: int = PAIRWISE_ORACLE_CAP
 
@@ -140,28 +126,25 @@ def _wd_rows(wd) -> list:
     return [list(pair) for pair in wd]
 
 
-def verify_first_instance(field: Field, alpha: int, pairwise_cap: int = PAIRWISE_ORACLE_CAP):
-    """Check the D(alpha) code and its subcode against all closed forms."""
+def _verify(construction: str, field: Field, alpha, pairwise_cap: int) -> InstanceResult:
+    """Check one construction's ambient code and subcode against all closed forms."""
     p, m = field.p, field.m
     started = time.perf_counter()
-    ds = build_defining_set_D(field, alpha)
-    code = build_trace_code(ds)
+    code, sub = build_construction(field, construction, alpha, pairwise_cap)
+    entry = CONSTRUCTIONS[construction]
     census = weight_distribution(code)
-    predicted_wd = predicted_weight_distribution_thm31(p, m, alpha)
-    sub = extract_subcode_first(code, pairwise_cap=pairwise_cap)
-    predicted = predicted_ccc_first(p, m, alpha)
+    predicted_wd = entry.predict_census(p, m, alpha)
+    predicted = entry.predict(p, m, alpha)
     report = sub.lfvc()
-    if alpha == 0:
-        lfvc_ok = report.verdict == "optimal" and sub.M * report.denominator == sub.n * sub.d
-    else:
-        lfvc_ok = report.denominator == 0 and report.verdict == "bound-inapplicable"
     result = InstanceResult(
-        "first",
+        construction,
         p,
         m,
         alpha=alpha,
+        tau=sub.tau,
         checks={
-            "ambient_length": code.length == p ** (m - 1) - (1 if alpha == 0 else 0),
+            "ambient_length": code.length == predicted.n,
+            # the prime field indexes the zero word of the D(0) code
             "ambient_dimension": code.dimension == (m - 1 if alpha == 0 else m),
             "ambient_weight_distribution": census == predicted_wd,
             "subcode_composition": True,  # extraction raises on violation
@@ -169,7 +152,7 @@ def verify_first_instance(field: Field, alpha: int, pairwise_cap: int = PAIRWISE
             "distance_matches_ambient": (
                 None if sub.d_pairwise is None else sub.d_pairwise == sub.d_ambient
             ),
-            "lfvc_verdict": lfvc_ok,
+            **entry.bound_checks(sub, report),
         },
         detail={
             "census": _wd_rows(census),
@@ -180,128 +163,88 @@ def verify_first_instance(field: Field, alpha: int, pairwise_cap: int = PAIRWISE
             "d_pairwise": sub.d_pairwise,
             "d_ambient": sub.d_ambient,
             "omega": list(sub.composition),
-            "predicted": {
-                "n": predicted.n,
-                "M": predicted.M,
-                "d": predicted.d,
-                "omega": list(predicted.omega),
-            },
+            "predicted": {**predicted._asdict(), "omega": list(predicted.omega)},
             "lfvc": report.to_json_dict(),
         },
     )
     result.seconds = time.perf_counter() - started
     return result.finalize()
+
+
+def verify_first_instance(field: Field, alpha: int, pairwise_cap: int = PAIRWISE_ORACLE_CAP):
+    """Check the D(alpha) code and its subcode against all closed forms."""
+    return _verify("first", field, alpha, pairwise_cap)
 
 
 def verify_second_instance(field: Field, which: str, pairwise_cap: int = PAIRWISE_ORACLE_CAP):
     """Check the E code and one of its two subcodes against all closed forms."""
-    p, m = field.p, field.m
-    started = time.perf_counter()
-    ds = build_defining_set_E(field)
-    code = build_trace_code(ds)
-    census = weight_distribution(code)
-    predicted_wd = predicted_weight_distribution_lem41(p, m)
-    sub = extract_subcode_second(code, which, pairwise_cap=pairwise_cap)
-    predicted = predicted_ccc_second(p, m, which)
-    report = sub.lfvc()
-    construction = "second-S" if which == "S" else "second-complement"
-    checks = {
-        "ambient_length": code.length == predicted.n,
-        "ambient_dimension": code.dimension == m,
-        "ambient_weight_distribution": census == predicted_wd,
-        "subcode_composition": True,
-        "subcode_parameters": sub.params == predicted,
-        "distance_matches_ambient": (
-            None if sub.d_pairwise is None else sub.d_pairwise == sub.d_ambient
-        ),
-    }
-    if which == "S":
-        checks["lfvc_bound_inapplicable"] = (
-            report.denominator <= 0 and report.verdict == "bound-inapplicable"
-        )
-        # index sets S, E and {0} partition the field
-        checks["index_partition"] = sub.index_count + len(ds) + 1 == field.q
-    else:
-        recomputed = lfvc_evaluate(sub.n, sub.M, sub.d, sub.composition)
-        checks["lfvc_consistent"] = recomputed == report and (
-            report.denominator <= 0 or sub.M * report.denominator <= sub.n * sub.d
-        )
-    result = InstanceResult(
-        construction,
-        p,
-        m,
-        tau=sub.tau,
-        checks=checks,
-        detail={
-            "census": _wd_rows(census),
-            "predicted_census": _wd_rows(predicted_wd),
-            "n": sub.n,
-            "M": sub.M,
-            "d": sub.d,
-            "d_pairwise": sub.d_pairwise,
-            "d_ambient": sub.d_ambient,
-            "omega": list(sub.composition),
-            "predicted": {
-                "n": predicted.n,
-                "M": predicted.M,
-                "d": predicted.d,
-                "omega": list(predicted.omega),
-            },
-            "lfvc": report.to_json_dict(),
-        },
-    )
-    result.seconds = time.perf_counter() - started
-    return result.finalize()
+    return _verify(f"second-{which}", field, None, pairwise_cap)
 
 
-def _skip(construction, p, m, alpha, reason):
-    return InstanceResult(construction, p, m, alpha=alpha, status="skip", reason=reason)
+def plan_sweep(spec: SweepSpec) -> list:
+    """Ordered (construction, p, m, alpha, skip reason) tuples, "" for an instance that runs.
 
-
-def run_sweep(spec: SweepSpec) -> VerificationReport:
-    """Run every in-scope instance; out-of-cap and degenerate points become skips."""
-    if spec.alphas != "all":
-        for a in spec.alphas:
-            if not isinstance(a, int) or a < 0:
-                raise ValueError("alphas must be non-negative integers or 'all'")
-    records = []
-    fields = {}
+    The whole spec is validated here, so bad input is refused before any
+    instance runs. Repeated alphas run once.
+    """
+    if spec.m_min < 2:
+        raise ValueError("the constructions need extension degree at least 2")
+    if spec.m_min > spec.m_max:
+        raise ValueError(f"extension degree range {spec.m_min}..{spec.m_max} is empty")
+    alphas = spec.alphas
+    if alphas != "all":
+        if not all(isinstance(a, int) and a >= 0 for a in alphas):
+            raise ValueError("alphas must be non-negative integers or 'all'")
+        alphas = tuple(dict.fromkeys(alphas))
+    plan = []
     for p in spec.p_list:
+        check_characteristic(p)
         for m in range(spec.m_min, spec.m_max + 1):
-            q = p**m
-            over_cap = q > spec.q_cap
+            over_cap = "exceeds q-cap" if p**m > spec.q_cap else ""
             for construction in CONSTRUCTIONS:
                 if construction not in spec.constructions:
                     continue
+                if construction != "first":
+                    skip = "odd extension degree" if m % 2 else over_cap
+                    plan.append((construction, p, m, None, skip))
+                    continue
+                for alpha in range(p) if alphas == "all" else alphas:
+                    if alpha >= p:
+                        raise ValueError(f"alpha {alpha} is not a residue mod {p}")
+                    plan.append((construction, p, m, alpha, over_cap))
+    return plan
+
+
+def run_sweep(spec: SweepSpec) -> VerificationReport:
+    """Run the planned instances, building each field once.
+
+    A degenerate defining set becomes a skip record; any other TraceCCError
+    becomes a fail record carrying the error, and the sweep goes on.
+    """
+    fields = {}
+    records = []
+    for construction, p, m, alpha, reason in plan_sweep(spec):
+        status = "skip"
+        if not reason:
+            if (p, m) not in fields:
+                fields[p, m] = make_field(p, m)
+            field = fields[p, m]
+            try:
                 if construction == "first":
-                    alphas = range(p) if spec.alphas == "all" else spec.alphas
-                    for alpha in alphas:
-                        if spec.alphas != "all" and alpha >= p:
-                            raise ValueError(f"alpha {alpha} is not a residue mod {p}")
-                        if over_cap:
-                            records.append(_skip(construction, p, m, alpha, "exceeds q-cap"))
-                            continue
-                        fld = fields.setdefault((p, m), make_field(p, m))
-                        records.append(
-                            verify_first_instance(fld, alpha, pairwise_cap=spec.pairwise_cap)
-                        )
+                    record = verify_first_instance(field, alpha, pairwise_cap=spec.pairwise_cap)
                 else:
-                    which = "S" if construction == "second-S" else "complement"
-                    if m % 2:
-                        records.append(_skip(construction, p, m, None, "odd extension degree"))
-                        continue
-                    if over_cap:
-                        records.append(_skip(construction, p, m, None, "exceeds q-cap"))
-                        continue
-                    fld = fields.setdefault((p, m), make_field(p, m))
-                    try:
-                        records.append(
-                            verify_second_instance(fld, which, pairwise_cap=spec.pairwise_cap)
-                        )
-                    except DegenerateSet:
-                        records.append(
-                            _skip(construction, p, m, None, "degenerate defining set")
-                        )
+                    which = CONSTRUCTIONS[construction].which
+                    record = verify_second_instance(field, which, pairwise_cap=spec.pairwise_cap)
+            except DegenerateSet:
+                reason = "degenerate defining set"
+            except TraceCCError as exc:
+                status, reason = "fail", f"{type(exc).__name__}: {exc}"
+            else:
+                records.append(record)
+                continue
+        records.append(
+            InstanceResult(construction, p, m, alpha=alpha, status=status, reason=reason)
+        )
     return VerificationReport(spec, records)
 
 

@@ -4,6 +4,7 @@ import json
 
 import pytest
 
+from tracecc import DuplicateWords, ccc, sweep
 from tracecc.cli import main
 
 
@@ -218,6 +219,55 @@ def test_gauss_check_sampling_is_deterministic(tmp_path):
 
 def test_verify_sweep_rejects_csv():
     assert main(["verify-sweep", "--p", "3", "--m", "2", "2", "--format", "csv"]) == 2
+
+
+def test_verify_sweep_rejects_reversed_m_range(capsys):
+    assert main(["verify-sweep", "--m", "5", "2"]) == 2
+    assert "extension degree range 5..2 is empty" in capsys.readouterr().err
+
+
+def test_verify_sweep_runs_repeated_alpha_once(tmp_path):
+    code, doc = run_json(
+        tmp_path,
+        "s.json",
+        ["verify-sweep", "--p", "3", "--m", "2", "2", "--constructions", "first",
+         "--alphas", "0,0"],
+    )
+    assert code == 0
+    assert [inst["alpha"] for inst in doc["instances"]] == [0]
+
+
+def test_verify_sweep_bad_alpha_exits_before_any_instance(monkeypatch):
+    def must_not_run(*args, **kwargs):
+        raise AssertionError("an instance ran before alpha was checked")
+
+    monkeypatch.setattr(sweep, "verify_first_instance", must_not_run)
+    assert main(["verify-sweep", "--p", "5", "3", "--m", "2", "2", "--alphas", "4"]) == 2
+
+
+def test_verify_sweep_failing_instance_is_reported(tmp_path, capsys, monkeypatch):
+    pairwise = ccc.pairwise_min_distance
+    calls = []
+
+    def fails_once(words):
+        calls.append(len(words))
+        if len(calls) == 1:
+            raise DuplicateWords("two identical words found (distance 0)")
+        return pairwise(words)
+
+    monkeypatch.setattr(ccc, "pairwise_min_distance", fails_once)
+    code, doc = run_json(
+        tmp_path,
+        "s.json",
+        ["verify-sweep", "--p", "3", "--m", "2", "2", "--constructions", "first"],
+    )
+    assert code == 1
+    reason = "DuplicateWords: two identical words found (distance 0)"
+    first, *rest = doc["instances"]
+    assert (first["alpha"], first["status"], first["reason"]) == (0, "fail", reason)
+    assert [(inst["alpha"], inst["status"]) for inst in rest] == [(1, "ok"), (2, "ok")]
+    assert doc["summary"] == {"pass": 2, "fail": 1, "skip": 0}
+    assert f"FAIL  first p=3 m=2 alpha=0  {reason}" in capsys.readouterr().out
 
 
 def test_verify_sweep_rejects_bad_alpha():

@@ -1,0 +1,44 @@
+"""Reports stay byte-identical to the stored `--no-timestamp` goldens.
+
+tests/golden/ holds the default `verify-sweep` report and the README's
+`build` examples. Regenerate a file only for an intended report change,
+with the command its test runs plus `--out`.
+"""
+
+import json
+from pathlib import Path
+
+import pytest
+
+from tracecc.cli import main
+
+GOLDEN = Path(__file__).parent / "golden"
+
+
+def test_default_sweep_matches_golden(full_sweep_report):
+    doc = {"command": "verify-sweep", **full_sweep_report.to_json_dict(include_timing=False)}
+    text = json.dumps(doc, indent=2) + "\n"
+    assert text == (GOLDEN / "verify-sweep-default.json").read_text()
+
+
+@pytest.mark.parametrize(
+    "name,argv",
+    [
+        (
+            "build-first-p3-m3-alpha0.json",
+            ["--p", "3", "--m", "3", "--construction", "first", "--alpha", "0", "--no-timestamp"],
+        ),
+        (
+            "build-second-S-p3-m2.json",
+            ["--p", "3", "--m", "2", "--construction", "second-S", "--no-timestamp"],
+        ),
+        (
+            "build-first-p3-m3-alpha0.csv",
+            ["--p", "3", "--m", "3", "--construction", "first", "--alpha", "0", "--format", "csv"],
+        ),
+    ],
+)
+def test_build_matches_golden(tmp_path, name, argv):
+    out = tmp_path / name
+    assert main(["build", *argv, "--out", str(out)]) == 0
+    assert out.read_bytes() == (GOLDEN / name).read_bytes()

@@ -46,12 +46,12 @@ from .codes import (
 from .errors import (
     ClosedFormMismatch,
     CompositionLengthMismatch,
-    CompositionViolation,
     DegenerateSet,
     DivisionByZero,
     DuplicateWords,
     EvenCharacteristic,
     FieldMismatch,
+    IdentityViolation,
     NotPrime,
     OddDegree,
     PredictionMismatch,

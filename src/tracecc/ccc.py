@@ -33,13 +33,7 @@ from .codes import (
     predicted_weight_distribution_lem41,
     predicted_weight_distribution_thm31,
 )
-from .errors import (
-    CompositionLengthMismatch,
-    CompositionViolation,
-    DegenerateSet,
-    DuplicateWords,
-    UnsupportedDegree,
-)
+from .errors import CompositionLengthMismatch, DegenerateSet, DuplicateWords, UnsupportedDegree
 
 #: largest word count for which the O(M^2 n) pairwise distance oracle runs
 PAIRWISE_ORACLE_CAP = 5000
@@ -88,7 +82,8 @@ class CccCode:
     source: TraceCode
     construction: str  # a key of CONSTRUCTIONS
     words: np.ndarray
-    composition: tuple
+    composition: tuple  # of word 0
+    composition_ok: bool  # every word has word 0's composition
     index_count: int
     d_pairwise: Optional[int]
     d_ambient: int
@@ -122,13 +117,9 @@ class CccCode:
 
 
 def _constant_composition(words: np.ndarray, p: int) -> tuple:
-    counts = np.stack([(words == s).sum(axis=1) for s in range(p)], axis=1)
-    if not (counts == counts[0]).all():
-        bad = int(np.flatnonzero((counts != counts[0]).any(axis=1))[0])
-        raise CompositionViolation(
-            f"word {bad} has composition {tuple(counts[bad])}, expected {tuple(counts[0])}"
-        )
-    return tuple(int(c) for c in counts[0])
+    """Composition of word 0, and whether every word shares it."""
+    counts = np.stack([np.count_nonzero(words == s, axis=1) for s in range(p)], axis=1)
+    return tuple(int(c) for c in counts[0]), bool((counts == counts[0]).all())
 
 
 def _extract(code: TraceCode, construction: str, pairwise_cap: int) -> CccCode:
@@ -139,7 +130,7 @@ def _extract(code: TraceCode, construction: str, pairwise_cap: int) -> CccCode:
     field = code.field
     rows = code.matrix[np.flatnonzero(entry.index_mask(field))]
     words = rows[distinct_row_indices(rows)]
-    composition = _constant_composition(words, field.p)
+    composition, composition_ok = _constant_composition(words, field.p)
     d_ambient = minimum_distance(code)
     d_pairwise = pairwise_min_distance(words) if words.shape[0] <= pairwise_cap else None
     return CccCode(
@@ -147,6 +138,7 @@ def _extract(code: TraceCode, construction: str, pairwise_cap: int) -> CccCode:
         construction,
         words,
         composition,
+        composition_ok,
         index_count=int(rows.shape[0]),
         d_pairwise=d_pairwise,
         d_ambient=d_ambient,
@@ -375,7 +367,7 @@ def ccc_json(subcode: CccCode, emit_codewords: bool = False) -> dict:
     doc["lfvc"] = subcode.lfvc().to_json_dict()
     predicted = CONSTRUCTIONS[subcode.construction].predict(field.p, field.m, subcode.alpha)
     doc["checks"] = {
-        "composition_ok": True,  # extraction would have raised otherwise
+        "composition_ok": subcode.composition_ok,
         "distance_matches_ambient": (
             None if subcode.d_pairwise is None else subcode.d_pairwise == subcode.d_ambient
         ),

@@ -15,7 +15,14 @@ from dataclasses import dataclass
 import numpy as np
 
 from .charsums import quadratic_trace_sign
-from .errors import DegenerateSet, FieldMismatch, OddDegree, UnsupportedDegree, ZeroCode
+from .errors import (
+    DegenerateSet,
+    FieldMismatch,
+    IdentityViolation,
+    OddDegree,
+    UnsupportedDegree,
+    ZeroCode,
+)
 from .gfpm import Field, FieldElement
 
 
@@ -49,10 +56,9 @@ class DefiningSet:
         indices = np.asarray(indices, dtype=np.int64)
         indices.setflags(write=False)
         self.indices = indices
-        self.elements = tuple(field.element_at(int(i)) for i in indices)
 
     def __len__(self):
-        return len(self.elements)
+        return len(self.indices)
 
     def __repr__(self):
         tag = f"D({self.alpha})" if self.kind == "D-alpha" else "E"
@@ -131,28 +137,30 @@ def distinct_row_indices(matrix: np.ndarray) -> np.ndarray:
 
 
 def build_trace_code(ds: DefiningSet) -> TraceCode:
-    """Materialize every indexed codeword of the trace construction."""
+    """Materialize every indexed codeword of the trace construction.
+
+    Row k of gen = G @ digits(D).T (mod p), G the trace form, is the codeword
+    of x^k, and the codeword of sum c_k x^k is sum c_k gen[k] (mod p). The
+    matrix is built from the last digit to c_0, the most significant, in
+    8-bit adds, each followed by one conditional subtraction of p.
+    """
     field = ds.field
-    p, m, q = field.p, field.m, field.q
+    p, m = field.p, field.m
     n = len(ds)
-    # Tr(a*d) is linear in the coefficients of a, so the whole codeword matrix
-    # is (digits @ T) mod p with T[i, j] = Tr(x^i * d_j)
-    gen = np.empty((m, n), dtype=np.float32)
-    for i in range(m):
-        b = field.basis_element(i)
-        gen[i] = [(b * d).trace() for d in ds.elements]
-    matrix = np.empty((q, n), dtype=np.int8)
-    digits = field.digits.astype(np.float32)
-    block = max(1, (1 << 24) // max(n, 1))
-    for lo in range(0, q, block):
-        chunk = digits[lo : lo + block] @ gen  # entries stay far below 2**24, exact
-        chunk %= p
-        matrix[lo : lo + block] = chunk.astype(np.int8)
+    gen = (field.trace_form @ field.digits[ds.indices].T.astype(np.int64)) % p
+    matrix = np.zeros((1, n), dtype=np.uint8)
+    for k in reversed(range(m)):
+        mult = ((np.arange(p)[:, None] * gen[k]) % p).astype(np.uint8)  # c * gen[k] for c < p
+        matrix = (mult[:, None, :] + matrix[None]).reshape(-1, n)
+        # entries are below 2p, and x - p wraps above x in uint8 exactly when x < p
+        np.minimum(matrix, matrix - np.uint8(p), out=matrix)
+    matrix = matrix.view(np.int8)
     first = distinct_row_indices(matrix)
     distinct = matrix[first]
     count = distinct.shape[0]
     dimension = round(math.log(count, p))
-    assert p**dimension == count, "distinct codeword count is not a power of p"
+    if p**dimension != count:
+        raise IdentityViolation(f"{count} distinct codewords is not a power of {p}")
     return TraceCode(ds, matrix, distinct, dimension)
 
 

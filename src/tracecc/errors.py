@@ -53,8 +53,8 @@ class ZeroCode(TraceCCError):
     pass
 
 
-class CompositionViolation(TraceCCError):
-    pass
+class IdentityViolation(TraceCCError):
+    """A computed value breaks an identity that every finite field or linear code obeys."""
 
 
 class DuplicateWords(TraceCCError):

@@ -24,6 +24,7 @@ from .errors import (
     DivisionByZero,
     EvenCharacteristic,
     FieldMismatch,
+    IdentityViolation,
     NotPrime,
     ReducibleModulus,
 )
@@ -197,10 +198,20 @@ class Field:
         return mat
 
     @cached_property
+    def trace_form(self) -> np.ndarray:
+        """(m, m) int16 Gram matrix of the trace form, G[i, k] = Tr(x^i * x^k).
+
+        Tr(a*b) = digits(a) @ G @ digits(b) (mod p): m*m scalar traces stand in for all others.
+        """
+        basis = [self.basis_element(i) for i in range(self.m)]
+        g = np.array([[(b * c).trace() for c in basis] for b in basis], dtype=np.int16)
+        g.setflags(write=False)
+        return g
+
+    @cached_property
     def trace_table(self) -> np.ndarray:
-        """(q,) int8 array of Tr(x) for every element, by linearity over the basis."""
-        base = np.array([self.basis_element(i).trace() for i in range(self.m)], dtype=np.int16)
-        t = ((self.digits.astype(np.int16) @ base) % self.p).astype(np.int8)
+        """(q,) int8 array of Tr(x) for every element: the trace form's row for 1."""
+        t = ((self.digits.astype(np.int16) @ self.trace_form[0]) % self.p).astype(np.int8)
         t.setflags(write=False)
         return t
 
@@ -210,10 +221,7 @@ class Field:
         m = self.m
         d = self.digits.astype(np.int32)
         red = np.array(self._xpow, dtype=np.int32)  # (2m-1, m)
-        kernel = np.empty((m, m, m), dtype=np.int32)
-        for i in range(m):
-            for j in range(m):
-                kernel[i, j] = red[i + j]
+        kernel = red[np.add.outer(np.arange(m), np.arange(m))]  # (m, m, m): x^i * x^j
         pairs = np.einsum("ai,aj->aij", d, d).reshape(self.q, m * m)
         sq_digits = (pairs @ kernel.reshape(m * m, m)) % self.p
         idx = sq_digits.astype(np.int64) @ np.array(self._index_weights, dtype=np.int64)
@@ -227,7 +235,8 @@ class Field:
         table[0] = 0
         squares = np.unique(self.square_index_table[1:])
         table[squares] = 1
-        assert squares.size == (self.q - 1) // 2
+        if squares.size != (self.q - 1) // 2:
+            raise IdentityViolation(f"{squares.size} nonzero squares, expected {(self.q - 1) // 2}")
         table.setflags(write=False)
         return table
 
@@ -235,9 +244,7 @@ class Field:
         """(q,) int8 array of Tr(c*x) over the whole field in canonical order."""
         if c.field != self:
             raise FieldMismatch("element belongs to a different field")
-        col = np.array(
-            [(c * self.basis_element(i)).trace() for i in range(self.m)], dtype=np.int16
-        )
+        col = (self.trace_form @ np.array(c.coeffs, dtype=np.int16)) % self.p
         return ((self.digits.astype(np.int16) @ col) % self.p).astype(np.int8)
 
 
@@ -341,7 +348,8 @@ class FieldElement:
         for _ in range(m - 1):
             frob = frob**p
             acc = acc + frob
-        assert not any(acc.coeffs[1:]), "trace left the prime field"
+        if any(acc.coeffs[1:]):
+            raise IdentityViolation(f"the trace of {self!r} left the prime field")
         return acc.coeffs[0]
 
 
@@ -355,10 +363,9 @@ def quadratic_character(x: FieldElement) -> int:
     if x.is_zero():
         return 0
     v = x ** ((x.field.q - 1) // 2)
-    if v == x.field.one:
-        return 1
-    assert v == -x.field.one
-    return -1
+    if v not in (x.field.one, -x.field.one):
+        raise IdentityViolation(f"{x!r} ** ((q-1)/2) is neither 1 nor -1")
+    return 1 if v == x.field.one else -1
 
 
 def enumerate_field(field: Field, nonzero_only: bool = False):

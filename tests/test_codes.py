@@ -9,12 +9,14 @@ import pytest
 
 from tracecc import (
     DegenerateSet,
+    IdentityViolation,
     OddDegree,
     UnsupportedDegree,
     WeightDistribution,
     build_defining_set_D,
     build_defining_set_E,
     build_trace_code,
+    codes,
     count_trace_square_fiber,
     enumerate_field,
     make_field,
@@ -27,8 +29,12 @@ from tracecc import (
 from tracecc.codes import trace_code_json, weight_table_csv
 
 
+def elements(ds):
+    return [ds.field.element_at(int(i)) for i in ds.indices]
+
+
 def naive_codeword(a, ds):
-    return tuple((a * d).trace() for d in ds.elements)
+    return tuple((a * d).trace() for d in elements(ds))
 
 
 # -- defining sets ---------------------------------------------------------------
@@ -42,7 +48,7 @@ def test_defining_set_sizes_f27(f27):
 
 def test_defining_set_membership_and_order(f27):
     ds = build_defining_set_D(f27, 1)
-    assert all(trace(d) == 1 and not d.is_zero() for d in ds.elements)
+    assert all(trace(d) == 1 and not d.is_zero() for d in elements(ds))
     indices = ds.indices.tolist()
     assert indices == sorted(indices)
     assert len(set(indices)) == len(indices)
@@ -59,7 +65,7 @@ def test_defining_set_rejects_prime_field():
 def test_defining_set_E_f9(f9):
     ds = build_defining_set_E(f9)
     assert len(ds) == 4
-    assert {d.coeffs for d in ds.elements} == {(1, 1), (1, 2), (2, 1), (2, 2)}
+    assert {d.coeffs for d in elements(ds)} == {(1, 1), (1, 2), (2, 1), (2, 2)}
 
 
 def test_defining_set_E_sizes():
@@ -130,6 +136,21 @@ def test_codewords_match_naive_evaluation_sampled_f125():
     for _ in range(40):
         a = f.element_at(rng.randrange(f.q))
         assert tuple(code.codeword(a)) == naive_codeword(a, ds)
+
+
+def test_codewords_match_naive_evaluation_f49(f49):
+    # p = 7 sends the digit-wise sums up to 12 before their reduction mod p
+    ds = build_defining_set_D(f49, 3)
+    code = build_trace_code(ds)
+    for a in enumerate_field(f49):
+        assert tuple(code.codeword(a)) == naive_codeword(a, ds)
+
+
+def test_dimension_is_checked(f27, monkeypatch):
+    dedupe = codes.distinct_row_indices
+    monkeypatch.setattr(codes, "distinct_row_indices", lambda matrix: dedupe(matrix)[:-1])
+    with pytest.raises(IdentityViolation):
+        build_trace_code(build_defining_set_D(f27, 1))
 
 
 @pytest.mark.parametrize("builder", ["D0", "D1", "E"])

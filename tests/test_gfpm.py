@@ -13,6 +13,7 @@ from tracecc import (
     DivisionByZero,
     EvenCharacteristic,
     FieldMismatch,
+    IdentityViolation,
     NotPrime,
     ReducibleModulus,
     enumerate_field,
@@ -20,6 +21,7 @@ from tracecc import (
     quadratic_character,
     trace,
 )
+from tracecc.gfpm import Field
 
 
 def naive_mul(a, b, modulus, p):
@@ -215,6 +217,25 @@ def test_trace_table_matches_elementwise(p, m):
     assert f.trace_table.tolist() == expected
 
 
+@pytest.mark.parametrize("p,m", [(3, 2), (5, 2), (3, 3), (3, 4)])
+def test_trace_form_matches_scalar_traces(p, m):
+    f = make_field(p, m)
+    g = f.trace_form
+    assert g.shape == (m, m)
+    assert (g == g.T).all()
+    for i in range(m):
+        for k in range(m):
+            assert g[i, k] == (f.basis_element(i) * f.basis_element(k)).trace()
+
+
+@pytest.mark.parametrize("p,m", [(3, 2), (3, 3)])
+def test_trace_of_multiples_matches_elementwise(p, m):
+    f = make_field(p, m)
+    elems = list(enumerate_field(f))
+    for c in elems:
+        assert f.trace_of_multiples(c).tolist() == [(c * x).trace() for x in elems]
+
+
 @pytest.mark.parametrize("p,m", [(3, 3), (5, 2), (7, 2)])
 def test_square_table_matches_elementwise(p, m):
     f = make_field(p, m)
@@ -264,6 +285,21 @@ def test_square_count_and_table(p, m):
     values = [quadratic_character(x) for x in enumerate_field(f)]
     assert values.count(1) == (f.q - 1) // 2
     assert f.quadratic_character_table.tolist() == values
+
+
+# x^2 - 1 splits over GF(3), so this ring is GF(3) x GF(3) and not a field
+@pytest.mark.parametrize(
+    "check",
+    [
+        lambda ring: ring.basis_element(1).trace(),
+        lambda ring: ring.quadratic_character_table,
+        lambda ring: quadratic_character(ring.element([1, 1])),
+    ],
+    ids=["trace", "square-count", "euler"],
+)
+def test_field_identities_are_checked(check):
+    with pytest.raises(IdentityViolation):
+        check(Field(3, 2, (2, 0, 1)))
 
 
 # -- canonical order -------------------------------------------------------------

@@ -1,9 +1,10 @@
 """The sweep's plan and run loop: one field build per (p, m), and a spec
 refused before any instance runs."""
 
+import numpy as np
 import pytest
 
-from tracecc import NotPrime, SweepSpec, run_sweep, sweep
+from tracecc import NotPrime, SweepSpec, ccc, make_field, run_sweep, sweep
 
 
 def test_each_field_is_built_once(monkeypatch):
@@ -24,6 +25,7 @@ def test_each_field_is_built_once(monkeypatch):
     [
         (SweepSpec(m_min=1, m_max=2), ValueError),
         (SweepSpec(p_list=(3, 9), m_min=2, m_max=2), NotPrime),
+        (SweepSpec(p_list=(3,), m_min=2, m_max=2, constructions=("frist",)), ValueError),
     ],
 )
 def test_bad_spec_is_refused_before_any_instance(monkeypatch, spec, error):
@@ -34,3 +36,21 @@ def test_bad_spec_is_refused_before_any_instance(monkeypatch, spec, error):
     monkeypatch.setattr(sweep, "verify_second_instance", must_not_run)
     with pytest.raises(error):
         run_sweep(spec)
+
+
+def test_repeated_prime_runs_once():
+    spec = SweepSpec(p_list=(3, 3), m_min=2, m_max=2, constructions=("first",))
+    report = run_sweep(spec)
+    assert [(i.p, i.alpha) for i in report.instances] == [(3, 0), (3, 1), (3, 2)]
+    assert report.to_json_dict()["spec"]["p_list"] == [3, 3]
+
+
+def test_composition_violation_is_a_fail_record(monkeypatch):
+    # letting the prime field in adds the zero word and the constant words
+    whole_field = ccc.CONSTRUCTIONS["first"]._replace(index_mask=lambda f: np.ones(f.q, bool))
+    monkeypatch.setitem(ccc.CONSTRUCTIONS, "first", whole_field)
+    record = sweep.verify_first_instance(make_field(3, 3), 1).to_json_dict()
+    assert record["status"] == "fail"
+    assert record["checks"]["subcode_composition"] is False
+    _, sub = ccc.build_construction(make_field(3, 3), "first", 1)
+    assert ccc.ccc_json(sub)["checks"]["composition_ok"] is False

@@ -6,6 +6,10 @@ trace residue and only turned into complex numbers at the very end, which
 keeps roundoff far below the comparison tolerance. Closed-form predictions
 compute powers of sqrt(-1) as exact quarter turns so the predictor side
 cannot drift in sign.
+
+Completed quadratic sums run in batches of triples of element indices, by
+table lookups, the trace form and `Field.product_indices`: no scalar trace
+or inverse runs per triple, and the scalar routes stay the oracle.
 """
 
 from __future__ import annotations
@@ -23,10 +27,13 @@ from .errors import (
     PredictionMismatch,
     ZeroLeadingCoefficient,
 )
-from .gfpm import Field, FieldElement, make_field, quadratic_character
+from .gfpm import Field, FieldElement, make_field
 
 #: absolute tolerance, per real/imaginary component, for closed-form agreement
 EPS = 1e-9
+#: trace residues (triples times q) one block of quadratic_sums holds; with 2**16,
+#: peak RSS after 100 charsums passes in one process read 2.2 MB (6%) higher
+QUADRATIC_BLOCK_CELLS = 2**14
 
 _QUARTER_TURNS = (1, 1j, -1, -1j)
 
@@ -67,10 +74,6 @@ def gauss_sum_closed_fq(p: int, m: int) -> complex:
     return (-1) ** ((m - 1) % 2) * turn * math.sqrt(p**m)
 
 
-def _sum_over_residue_counts(counts: np.ndarray, p: int) -> complex:
-    return complex(np.dot(counts, _zeta_table(p)))
-
-
 def _gauss_sum_direct(field: Field) -> complex:
     # integer count of eta over each trace residue, then one length-p dot
     counts = np.bincount(
@@ -78,7 +81,7 @@ def _gauss_sum_direct(field: Field) -> complex:
         weights=field.quadratic_character_table.astype(np.float64),
         minlength=field.p,
     )
-    return _sum_over_residue_counts(counts, field.p)
+    return complex(np.dot(counts, _zeta_table(field.p)))
 
 
 def gauss_sum_fq(field: Field, check: bool = True):
@@ -107,22 +110,54 @@ def quadratic_sum(a2: FieldElement, a1: FieldElement, a0: FieldElement):
         raise FieldMismatch("quadratic coefficients belong to different fields")
     if a2.is_zero():
         raise ZeroLeadingCoefficient("leading coefficient must be nonzero")
-    p = field.p
-    residues = (
-        field.trace_of_multiples(a2)[field.square_index_table].astype(np.int16)
-        + field.trace_of_multiples(a1)
-        + a0.trace()
-    ) % p
-    counts = np.bincount(residues, minlength=p).astype(np.float64)
-    evaluated = _sum_over_residue_counts(counts, p)
+    evaluated, closed = quadratic_sums(field, *([x.index] for x in (a2, a1, a0)))
+    return complex(evaluated[0]), complex(closed[0])
 
-    shift = a0 - a1 * a1 * (field.constant(4) * a2).inverse()
-    closed = (
-        complex(_zeta_table(p)[shift.trace()])
-        * quadratic_character(a2)
-        * gauss_sum_closed_fq(p, field.m)
-    )
-    return evaluated, closed
+
+def _inverse_indices(field: Field, a: np.ndarray) -> np.ndarray:
+    """a**(q-2), the inverse of every (nonzero) index in a, by square-and-multiply."""
+    result = np.full(len(a), field.one.index, dtype=np.int64)
+    e = field.q - 2
+    while e:
+        if e & 1:
+            result = field.product_indices(result, a)
+        a = field.product_indices(a, a)
+        e >>= 1
+    return result
+
+
+def completed_square(field: Field, a2, a1, a0):
+    """Tr(a0 - a1**2/(4*a2)) and eta(a2) for index arrays with a2 nonzero.
+
+    The trace is additive, so the shift's trace is Tr(a0) - Tr(a1**2/(4*a2)).
+    """
+    four_a2 = field.product_indices(np.full(len(a2), field.constant(4).index), a2)
+    ratio = field.product_indices(field.product_indices(a1, a1), _inverse_indices(field, four_a2))
+    shift_trace = (field.trace_table[a0] - field.trace_table[ratio]) % field.p
+    return shift_trace, field.quadratic_character_table[a2]
+
+
+def quadratic_sums(field: Field, a2, a1, a0):
+    """quadratic_sum for index arrays of triples, a2 nonzero: complex arrays (direct, closed).
+
+    The direct side runs in blocks of triples that hold about
+    QUADRATIC_BLOCK_CELLS trace residues (a triple takes q of them).
+    """
+    p, zeta, d = field.p, _zeta_table(field.p), field.digits
+    rows = max(1, QUADRATIC_BLOCK_CELLS // field.q)
+    evaluated = np.empty(len(a2), dtype=np.complex128)
+    for s in range(0, len(a2), rows):
+        b2, b1, b0 = a2[s : s + rows], a1[s : s + rows], a0[s : s + rows]
+        # Tr(a*y) = digits(y) @ w(a) with w(a) = G @ digits(a) (mod p), for every y at once
+        w = (d[np.concatenate([b2, b1])].astype(np.int32) @ field.trace_form) % p
+        t = sum(w[:, [k]] * d[:, k] for k in range(field.m))
+        n = len(b2)
+        residues = (t[:n, field.square_index_table] + t[n:] + field.trace_table[b0][:, None]) % p
+        residues += p * np.arange(n)[:, None]  # triple r counts into bins r*p .. r*p + p-1
+        counts = np.bincount(residues.ravel(), minlength=n * p).reshape(n, p).astype(np.float64)
+        evaluated[s : s + n] = [np.dot(row, zeta) for row in counts]
+    shift_trace, eta = completed_square(field, a2, a1, a0)
+    return evaluated, zeta[shift_trace] * eta * gauss_sum_closed_fq(p, field.m)
 
 
 # -- trace fibers ------------------------------------------------------------

@@ -30,8 +30,8 @@ from .errors import (
     TraceCCError,
     UnsupportedDegree,
 )
-from .gfpm import make_field
-from .sweep import SweepSpec, fiber_check, gauss_check, run_sweep
+from .gfpm import check_characteristic, make_field
+from .sweep import DEFAULT_Q_CAP, SweepSpec, fiber_check, gauss_check, run_sweep
 
 _PARAMETER_ERRORS = (
     NotPrime,
@@ -55,6 +55,15 @@ def _parse_modulus(text):
         return [int(part) for part in text.split(",")]
     except ValueError as exc:
         raise ValueError(f"cannot parse modulus {text!r}: {exc}") from None
+
+
+def _field(args):
+    """The field of a single-field command, refused above DEFAULT_Q_CAP before any table exists."""
+    check_characteristic(args.p)
+    # p >= 3 > 2, so p**m is over the cap once m reaches the cap's bit length
+    if args.m > 0 and args.p ** min(args.m, DEFAULT_Q_CAP.bit_length()) > DEFAULT_Q_CAP:
+        raise ValueError(f"GF({args.p}^{args.m}) has more than {DEFAULT_Q_CAP} elements")
+    return make_field(args.p, args.m, _parse_modulus(args.modulus))
 
 
 def _emit(doc: dict, args, human_lines=None) -> None:
@@ -85,7 +94,7 @@ def _write_text(text: str, args) -> None:
 
 
 def _cmd_build(args) -> int:
-    field = make_field(args.p, args.m, _parse_modulus(args.modulus))
+    field = _field(args)
     code, sub = build_construction(field, args.construction, args.alpha)
 
     if args.format == "csv":
@@ -153,7 +162,7 @@ def _cmd_verify_sweep(args) -> int:
 def _cmd_gauss_check(args) -> int:
     if args.format == "csv":
         raise ValueError("gauss-check reports are JSON only")
-    field = make_field(args.p, args.m, _parse_modulus(args.modulus))
+    field = _field(args)
     result = gauss_check(field)
     doc = {"command": "gauss-check"}
     _stamp(doc, args)
@@ -170,7 +179,7 @@ def _cmd_gauss_check(args) -> int:
 
 
 def _cmd_fibers(args) -> int:
-    field = make_field(args.p, args.m, _parse_modulus(args.modulus))
+    field = _field(args)
     result = fiber_check(field)
     if args.format == "csv":
         lines = ["kind,alpha,enumerated,predicted"]
@@ -236,7 +245,9 @@ def build_parser() -> argparse.ArgumentParser:
         "--m", type=int, nargs=2, default=[2, 5], metavar=("MIN", "MAX"),
         help="inclusive extension degree range",
     )
-    p_sweep.add_argument("--q-cap", type=int, default=100_000, help="skip fields above this size")
+    p_sweep.add_argument(
+        "--q-cap", type=int, default=DEFAULT_Q_CAP, help="skip fields above this size"
+    )
     p_sweep.add_argument(
         "--constructions",
         nargs="*",
@@ -263,25 +274,18 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _error_doc(exc: Exception) -> dict:
-    return {"error": {"type": type(exc).__name__, "message": str(exc)}}
-
-
 def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
         return args.handler(args)
-    except _PARAMETER_ERRORS as exc:
-        print(f"error: {exc}", file=sys.stderr)
+    except (TraceCCError, ValueError) as exc:
+        bad_params = isinstance(exc, _PARAMETER_ERRORS)
+        print(f"{'error' if bad_params else 'verification failure'}: {exc}", file=sys.stderr)
         if getattr(args, "format", "json") == "json":
-            sys.stdout.write(json.dumps(_error_doc(exc), indent=2) + "\n")
-        return EXIT_BAD_PARAMS
-    except TraceCCError as exc:
-        print(f"verification failure: {exc}", file=sys.stderr)
-        if getattr(args, "format", "json") == "json":
-            sys.stdout.write(json.dumps(_error_doc(exc), indent=2) + "\n")
-        return EXIT_MISMATCH
+            doc = {"error": {"type": type(exc).__name__, "message": str(exc)}}
+            sys.stdout.write(json.dumps(doc, indent=2) + "\n")
+        return EXIT_BAD_PARAMS if bad_params else EXIT_MISMATCH
 
 
 if __name__ == "__main__":

@@ -75,9 +75,11 @@ def _smallest_irreducible(p, m):
 
 
 def check_characteristic(p: int) -> None:
-    """Raise unless p is an odd prime."""
+    """Raise unless p is an odd prime small enough for the int8 digit tables."""
     if p == 2:
         raise EvenCharacteristic("characteristic 2 is not supported; p must be an odd prime")
+    if p > 127:
+        raise ValueError(f"characteristic {p} is above 127, the largest int8 digit")
     if not _is_prime(p):
         raise NotPrime(f"{p} is not prime")
 
@@ -218,13 +220,8 @@ class Field:
     @cached_property
     def square_index_table(self) -> np.ndarray:
         """(q,) int64 array mapping each element index to the index of its square."""
-        m = self.m
-        d = self.digits.astype(np.int32)
-        red = np.array(self._xpow, dtype=np.int32)  # (2m-1, m)
-        kernel = red[np.add.outer(np.arange(m), np.arange(m))]  # (m, m, m): x^i * x^j
-        pairs = np.einsum("ai,aj->aij", d, d).reshape(self.q, m * m)
-        sq_digits = (pairs @ kernel.reshape(m * m, m)) % self.p
-        idx = sq_digits.astype(np.int64) @ np.array(self._index_weights, dtype=np.int64)
+        r = np.arange(self.q)
+        idx = self.product_indices(r, r)
         idx.setflags(write=False)
         return idx
 
@@ -239,6 +236,20 @@ class Field:
             raise IdentityViolation(f"{squares.size} nonzero squares, expected {(self.q - 1) // 2}")
         table.setflags(write=False)
         return table
+
+    def product_indices(self, a, b) -> np.ndarray:
+        """(n,) int64 indices of a[i] * b[i], for two length-n arrays of element indices.
+
+        Each digit product a_i * b_j is folded onto the basis by the digits of
+        x^(i+j), one (i, j) at a time, so no (n, m*m) array of products is built.
+        """
+        red = np.array(self._xpow, dtype=np.int32)  # (2m-1, m): digits of x^k mod the modulus
+        da, db = self.digits[a].astype(np.int16), self.digits[b]
+        prod = np.zeros((len(da), self.m), dtype=np.int32)
+        for i, j in itertools.product(range(self.m), repeat=2):
+            prod += (da[:, i] * db[:, j])[:, None] * red[i + j]
+        prod %= self.p
+        return (prod @ np.array(self._index_weights, dtype=np.int32)).astype(np.int64)
 
     def trace_of_multiples(self, c: "FieldElement") -> np.ndarray:
         """(q,) int8 array of Tr(c*x) over the whole field in canonical order."""

@@ -6,7 +6,9 @@ The frozen complex values below were derived by direct naive summation
 
 import cmath
 import math
+import random
 
+import numpy as np
 import pytest
 
 from tracecc import (
@@ -21,9 +23,11 @@ from tracecc import (
     gauss_sum_fp,
     gauss_sum_fq,
     make_field,
+    quadratic_character,
     quadratic_sum,
     quadratic_trace_sign,
 )
+from tracecc.charsums import completed_square, quadratic_sums
 
 SQRT3 = math.sqrt(3.0)
 
@@ -74,8 +78,6 @@ def test_gauss_sum_fq_frozen_values(p, m, expected):
 
 
 def test_gauss_sum_matches_naive_summation(f27):
-    from tracecc import quadratic_character
-
     evaluated, _ = gauss_sum_fq(f27)
     direct = naive_character_sum(f27, quadratic_character)
     assert abs(evaluated - direct) < 1e-9
@@ -123,15 +125,33 @@ def test_quadratic_sum_square_leading_coefficient_gives_gauss_sum(f25):
 @pytest.mark.parametrize("p,m", [(3, 1), (3, 2), (3, 3), (5, 1)])
 def test_quadratic_sum_all_triples_agree(p, m):
     f = make_field(p, m)
-    elems = list(enumerate_field(f))
-    for a2 in elems:
-        if a2.is_zero():
-            continue
-        for a1 in elems:
-            for a0 in elems:
-                evaluated, closed = quadratic_sum(a2, a1, a0)
-                assert abs(evaluated.real - closed.real) <= EPS
-                assert abs(evaluated.imag - closed.imag) <= EPS
+    a2, a1, a0 = np.indices((f.q, f.q, f.q)).reshape(3, -1)
+    nonzero = a2 != 0
+    evaluated, closed = quadratic_sums(f, a2[nonzero], a1[nonzero], a0[nonzero])
+    assert len(evaluated) == (f.q - 1) * f.q * f.q
+    assert (abs(evaluated.real - closed.real) <= EPS).all()
+    assert (abs(evaluated.imag - closed.imag) <= EPS).all()
+
+
+def scalar_closed_parts(f, i2, i1, i0):
+    a2, a1, a0 = (f.element_at(int(i)) for i in (i2, i1, i0))
+    return (a0 - a1 * a1 * (f.constant(4) * a2).inverse()).trace(), quadratic_character(a2)
+
+
+@pytest.mark.parametrize("p,m,sample", [(3, 2, None), (5, 2, 400), (3, 4, 400)])
+def test_completed_square_matches_scalar_route(p, m, sample):
+    f = make_field(p, m)
+    if sample is None:  # every triple
+        a2, a1, a0 = np.indices((f.q - 1, f.q, f.q)).reshape(3, -1)
+        a2 = a2 + 1
+    else:
+        rng = random.Random(p * 100 + m)
+        a2, a1, a0 = np.array(
+            [[rng.randrange(low, f.q) for low in (1, 0, 0)] for _ in range(sample)]
+        ).T
+    shift_trace, eta = completed_square(f, a2, a1, a0)
+    expected = [scalar_closed_parts(f, *abc) for abc in zip(a2, a1, a0)]
+    assert list(zip(shift_trace.tolist(), eta.tolist())) == expected
 
 
 def test_quadratic_sum_matches_naive_summation(f9):

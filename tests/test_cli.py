@@ -4,7 +4,7 @@ import json
 
 import pytest
 
-from tracecc import DuplicateWords, ccc, sweep
+from tracecc import DuplicateWords, ccc, cli, sweep
 from tracecc.cli import main
 
 
@@ -328,3 +328,47 @@ def test_fibers_csv(tmp_path):
     assert lines[0] == "kind,alpha,enumerated,predicted"
     assert "quadratic-trace,0,5,5" in lines
     assert len(lines) == 7
+
+
+# -- fields the int8 tables cannot hold, or too large to build -----------------------------
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["build", "--p", "131", "--m", "2", "--construction", "first", "--alpha", "1"],
+        ["fibers", "--p", "131", "--m", "1"],
+        ["gauss-check", "--p", "131", "--m", "1"],
+        ["verify-sweep", "--p", "131", "--m", "2", "2"],
+    ],
+    ids=["build", "fibers", "gauss-check", "verify-sweep"],
+)
+def test_characteristic_above_127_exits_2(capsys, argv):
+    assert main(argv) == 2
+    assert "characteristic 131 is above 127" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["build", "--p", "3", "--m", "20", "--construction", "first", "--alpha", "1"],
+        ["fibers", "--p", "3", "--m", "20"],
+        ["gauss-check", "--p", "3", "--m", "20"],
+        ["fibers", "--p", "7", "--m", "10" * 6],
+    ],
+    ids=["build", "fibers", "gauss-check", "fibers-huge-m"],
+)
+def test_field_over_q_cap_is_refused_before_it_is_built(monkeypatch, capsys, argv):
+    def must_not_build(*args, **kwargs):
+        raise AssertionError("a field over the q-cap was built")
+
+    monkeypatch.setattr(cli, "make_field", must_not_build)
+    assert main(argv) == 2
+    assert "more than 100000 elements" in capsys.readouterr().err
+
+
+def test_field_at_q_cap_boundary_is_built(tmp_path):
+    # 3^10 = 59049 is under the cap, 3^11 = 177147 over it
+    code, doc = run_json(tmp_path, "f.json", ["fibers", "--p", "3", "--m", "10"])
+    assert code == 0 and doc["totals"]["linear-trace"] == 59049
+    assert main(["fibers", "--p", "3", "--m", "11"]) == 2

@@ -243,6 +243,25 @@ def test_square_table_matches_elementwise(p, m):
     assert f.square_index_table.tolist() == expected
 
 
+@pytest.mark.parametrize("p,m", [(3, 3), (5, 2), (7, 3)])
+def test_product_indices_match_naive_oracle(p, m):
+    f = make_field(p, m)
+    rng = random.Random(p * 100 + m)
+    a = [rng.randrange(f.q) for _ in range(300)]
+    b = [rng.randrange(f.q) for _ in range(300)]
+    expected = [
+        f.element(naive_mul(f.element_at(i).coeffs, f.element_at(j).coeffs, f.modulus, p)).index
+        for i, j in zip(a, b)
+    ]
+    assert f.product_indices(a, b).tolist() == expected
+
+
+@pytest.mark.parametrize("p", [131, 257])
+def test_rejects_characteristic_above_int8(p):
+    with pytest.raises(ValueError, match="above 127"):
+        make_field(p, 1)
+
+
 # -- quadratic character ---------------------------------------------------------
 
 

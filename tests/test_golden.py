@@ -1,7 +1,9 @@
 """Reports stay byte-identical to the stored `--no-timestamp` goldens.
 
-tests/golden/ holds the default `verify-sweep` report and the README's
-`build` examples. Regenerate a file only for an intended report change,
+tests/golden/ holds the default `verify-sweep` report, the README's
+`build` examples, and `gauss-check` and `fibers` reports. The floats in the
+`gauss-check` reports are deterministic, so they are compared byte for byte
+too. Regenerate a file only for an intended report change,
 with the command its test runs plus `--out`.
 """
 
@@ -41,4 +43,19 @@ def test_default_sweep_matches_golden(full_sweep_report):
 def test_build_matches_golden(tmp_path, name, argv):
     out = tmp_path / name
     assert main(["build", *argv, "--out", str(out)]) == 0
+    assert out.read_bytes() == (GOLDEN / name).read_bytes()
+
+
+@pytest.mark.parametrize(
+    "name,argv",
+    [
+        ("gauss-check-p3-m3.json", ["gauss-check", "--p", "3", "--m", "3"]),
+        ("gauss-check-p5-m2.json", ["gauss-check", "--p", "5", "--m", "2"]),
+        ("gauss-check-p5-m4.json", ["gauss-check", "--p", "5", "--m", "4"]),
+        ("fibers-p3-m3.json", ["fibers", "--p", "3", "--m", "3"]),
+    ],
+)
+def test_charsums_commands_match_golden(tmp_path, name, argv):
+    out = tmp_path / name
+    assert main([*argv, "--no-timestamp", "--out", str(out)]) == 0
     assert out.read_bytes() == (GOLDEN / name).read_bytes()

@@ -1,10 +1,10 @@
 """The sweep's plan and run loop: one field build per (p, m), and a spec
-refused before any instance runs."""
+refused before any instance runs; gauss_check's verdict and its work."""
 
 import numpy as np
 import pytest
 
-from tracecc import NotPrime, SweepSpec, ccc, make_field, run_sweep, sweep
+from tracecc import NotPrime, SweepSpec, ccc, charsums, gfpm, make_field, run_sweep, sweep
 
 
 def test_each_field_is_built_once(monkeypatch):
@@ -54,3 +54,37 @@ def test_composition_violation_is_a_fail_record(monkeypatch):
     assert record["checks"]["subcode_composition"] is False
     _, sub = ccc.build_construction(make_field(3, 3), "first", 1)
     assert ccc.ccc_json(sub)["checks"]["composition_ok"] is False
+
+
+@pytest.mark.parametrize("p,m,mode", [(3, 2, "exhaustive"), (3, 3, "exhaustive"), (7, 2, "random")])
+def test_gauss_check_catches_a_flipped_closed_form(monkeypatch, p, m, mode):
+    closed_fq = charsums.gauss_sum_closed_fq
+    monkeypatch.setattr(charsums, "gauss_sum_closed_fq", lambda p, m: -closed_fq(p, m))
+    report = sweep.gauss_check(make_field(p, m))
+    assert report["quadratic"]["mode"] == mode
+    assert report["quadratic"]["max_deviation"] > sweep.EPS
+    assert report["ok"] is False
+
+
+def test_gauss_check_takes_no_scalar_trace_or_inverse_per_triple(monkeypatch):
+    field = make_field(3, 3)
+    for table in ("trace_form", "trace_table", "square_index_table", "quadratic_character_table"):
+        getattr(field, table)
+    traced, inverted = [], []
+    trace, inverse = gfpm.FieldElement.trace, gfpm.FieldElement.inverse
+
+    def counting_trace(x):
+        traced.append(x.field)
+        return trace(x)
+
+    def counting_inverse(x):
+        inverted.append(x.field)
+        return inverse(x)
+
+    monkeypatch.setattr(gfpm.FieldElement, "trace", counting_trace)
+    monkeypatch.setattr(gfpm.FieldElement, "inverse", counting_inverse)
+    report = sweep.gauss_check(field)
+    assert report["quadratic"]["count"] == 26 * 27 * 27
+    # the one scalar trace is the 1x1 trace form of the GF(3) that gauss_sum_fp builds
+    assert traced == [make_field(3, 1)]
+    assert inverted == []

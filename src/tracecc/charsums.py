@@ -20,13 +20,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .errors import (
-    ClosedFormMismatch,
-    FieldMismatch,
-    OddDegree,
-    PredictionMismatch,
-    ZeroLeadingCoefficient,
-)
+from .errors import FieldMismatch, OddDegree, ZeroLeadingCoefficient
 from .gfpm import Field, FieldElement, make_field
 
 #: absolute tolerance, per real/imaginary component, for closed-form agreement
@@ -50,10 +44,6 @@ def _legendre(u: int, p: int) -> int:
     if u == 0:
         return 0
     return 1 if pow(u, (p - 1) // 2, p) == 1 else -1
-
-
-def _component_deviation(a: complex, b: complex) -> float:
-    return max(abs(a.real - b.real), abs(a.imag - b.imag))
 
 
 def additive_character(x: FieldElement) -> complex:
@@ -84,20 +74,14 @@ def _gauss_sum_direct(field: Field) -> complex:
     return complex(np.dot(counts, _zeta_table(field.p)))
 
 
-def gauss_sum_fq(field: Field, check: bool = True):
+def gauss_sum_fq(field: Field):
     """Quadratic Gauss sum over GF(p**m): (direct summation, closed form)."""
-    evaluated = _gauss_sum_direct(field)
-    closed = gauss_sum_closed_fq(field.p, field.m)
-    if check and _component_deviation(evaluated, closed) > EPS:
-        raise ClosedFormMismatch(
-            f"Gauss sum over {field!r}: direct {evaluated} vs closed form {closed}"
-        )
-    return evaluated, closed
+    return _gauss_sum_direct(field), gauss_sum_closed_fq(field.p, field.m)
 
 
-def gauss_sum_fp(p: int, check: bool = True):
+def gauss_sum_fp(p: int):
     """Quadratic Gauss sum over the prime field GF(p)."""
-    return gauss_sum_fq(make_field(p, 1), check=check)
+    return gauss_sum_fq(make_field(p, 1))
 
 
 def quadratic_sum(a2: FieldElement, a1: FieldElement, a0: FieldElement):
@@ -172,40 +156,30 @@ class FiberCountReport:
 
 
 def count_trace_fiber(field: Field, alpha: int) -> FiberCountReport:
-    """Exhaustive count of {x : Tr(x) = alpha}, checked against p^(m-1)."""
+    """Exhaustive count of {x : Tr(x) = alpha} beside its prediction p^(m-1)."""
     alpha = int(alpha) % field.p
     enumerated = int(np.count_nonzero(field.trace_table == alpha))
-    predicted = field.p ** (field.m - 1)
-    if enumerated != predicted:
-        raise PredictionMismatch(
-            f"linear trace fiber alpha={alpha} over {field!r}: {enumerated} != {predicted}"
-        )
-    return FiberCountReport(alpha, enumerated, predicted, "linear-trace")
+    return FiberCountReport(alpha, enumerated, field.p ** (field.m - 1), "linear-trace")
 
 
 def predicted_square_trace_fiber(p: int, m: int, alpha: int) -> int:
     """Closed-form size of {x : Tr(x**2) = alpha}, split on parity of m and alpha = 0."""
     alpha = int(alpha) % p
-    h = ((p - 1) // 2) ** 2
     if m % 2:
         if alpha == 0:
             return p ** (m - 1)
-        sign = -1 if (h * ((m + 1) // 2)) % 2 else 1
+        sign = quadratic_trace_sign(p, m + 1)
         return p ** (m - 1) + _legendre(-alpha, p) * sign * p ** ((m - 1) // 2)
-    tau = -1 if (h * (m // 2)) % 2 else 1
+    tau = quadratic_trace_sign(p, m)
     if alpha == 0:
         return p ** (m - 1) - tau * (p - 1) * p ** ((m - 2) // 2)
     return p ** (m - 1) + tau * p ** ((m - 2) // 2)
 
 
 def count_trace_square_fiber(field: Field, alpha: int) -> FiberCountReport:
-    """Exhaustive count of {x : Tr(x**2) = alpha}, checked against the closed form."""
+    """Exhaustive count of {x : Tr(x**2) = alpha} beside its closed-form prediction."""
     alpha = int(alpha) % field.p
     squares_trace = field.trace_table[field.square_index_table]
     enumerated = int(np.count_nonzero(squares_trace == alpha))
     predicted = predicted_square_trace_fiber(field.p, field.m, alpha)
-    if enumerated != predicted:
-        raise PredictionMismatch(
-            f"quadratic trace fiber alpha={alpha} over {field!r}: {enumerated} != {predicted}"
-        )
     return FiberCountReport(alpha, enumerated, predicted, "quadratic-trace")

@@ -19,13 +19,12 @@ from pathlib import Path
 
 from . import __version__
 from .ccc import CONSTRUCTIONS, build_construction, ccc_json
-from .codes import minimum_distance, trace_code_json, weight_distribution, weight_table_csv
+from .codes import trace_code_json, weight_distribution, weight_table_csv
 from .errors import (
     DegenerateSet,
     EvenCharacteristic,
     NotPrime,
     OddDegree,
-    PredictionMismatch,
     ReducibleModulus,
     TraceCCError,
     UnsupportedDegree,
@@ -111,7 +110,7 @@ def _cmd_build(args) -> int:
         + (f" (alpha={sub.alpha})" if sub.alpha is not None else ""),
         f"field          {field!r}, modulus {','.join(str(c) for c in field.modulus)}",
         f"ambient code   [{code.length}, {code.dimension}] over GF({field.p}),"
-        f" min distance {minimum_distance(code)}",
+        f" min distance {sub.d_ambient}",
         f"ccc            n={sub.n} M={sub.M} d={sub.d} omega={sub.composition}",
         f"lfvc           denominator={report.denominator}"
         + (f" bound={report.bound}" if report.bound is not None else "")
@@ -184,8 +183,6 @@ def _cmd_fibers(args) -> int:
     if args.format == "csv":
         lines = ["kind,alpha,enumerated,predicted"]
         for row in result["rows"]:
-            if "error" in row:
-                raise PredictionMismatch(row["error"])
             lines.append(f"{row['kind']},{row['alpha']},{row['enumerated']},{row['predicted']}")
         _write_text("\n".join(lines) + "\n", args)
         return EXIT_OK if result["ok"] else EXIT_MISMATCH
@@ -193,8 +190,8 @@ def _cmd_fibers(args) -> int:
     _stamp(doc, args)
     doc.update(result)
     lines = [
-        f"{row['kind']:<16} alpha={row['alpha']}  enumerated={row.get('enumerated')}"
-        f"  predicted={row.get('predicted')}"
+        f"{row['kind']:<16} alpha={row['alpha']}  enumerated={row['enumerated']}"
+        f"  predicted={row['predicted']}"
         for row in result["rows"]
     ]
     lines.append("all counts match" if result["ok"] else "COUNT MISMATCH")
@@ -278,6 +275,8 @@ def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
+        if args.out and (Path(args.out).is_dir() or not Path(args.out).parent.is_dir()):
+            raise ValueError(f"cannot write --out {args.out}: a directory, or in a missing one")
         return args.handler(args)
     except (TraceCCError, ValueError) as exc:
         bad_params = isinstance(exc, _PARAMETER_ERRORS)

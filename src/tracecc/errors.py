@@ -25,14 +25,6 @@ class DivisionByZero(TraceCCError, ZeroDivisionError):
     pass
 
 
-class ClosedFormMismatch(TraceCCError):
-    pass
-
-
-class PredictionMismatch(TraceCCError):
-    pass
-
-
 class ZeroLeadingCoefficient(TraceCCError):
     pass
 

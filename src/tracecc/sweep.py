@@ -19,7 +19,6 @@ import numpy as np
 from .ccc import CONSTRUCTIONS, PAIRWISE_ORACLE_CAP, build_construction
 from .charsums import (
     EPS,
-    _component_deviation,
     count_trace_fiber,
     count_trace_square_fiber,
     gauss_sum_fp,
@@ -27,7 +26,7 @@ from .charsums import (
     quadratic_sums,
 )
 from .codes import weight_distribution
-from .errors import DegenerateSet, PredictionMismatch, TraceCCError
+from .errors import DegenerateSet, TraceCCError
 from .gfpm import Field, check_characteristic, make_field
 
 #: quadratic-sum spot checks use every triple up to this field size, then sampling
@@ -139,6 +138,7 @@ def _verify(construction: str, field: Field, alpha, pairwise_cap: int) -> Instan
     census = weight_distribution(code)
     predicted_wd = entry.predict_census(p, m, alpha)
     predicted = entry.predict(p, m, alpha)
+    verdicts = sub.checks()
     report = sub.lfvc()
     result = InstanceResult(
         construction,
@@ -148,14 +148,11 @@ def _verify(construction: str, field: Field, alpha, pairwise_cap: int) -> Instan
         tau=sub.tau,
         checks={
             "ambient_length": code.length == predicted.n,
-            # the prime field indexes the zero word of the D(0) code
-            "ambient_dimension": code.dimension == (m - 1 if alpha == 0 else m),
+            "ambient_dimension": p**code.dimension == predicted_wd.total(),
             "ambient_weight_distribution": census == predicted_wd,
-            "subcode_composition": sub.composition_ok,
-            "subcode_parameters": sub.params == predicted,
-            "distance_matches_ambient": (
-                None if sub.d_pairwise is None else sub.d_pairwise == sub.d_ambient
-            ),
+            "subcode_composition": verdicts["composition_ok"],
+            "subcode_parameters": verdicts["prediction_matches"],
+            "distance_matches_ambient": verdicts["distance_matches_ambient"],
             **entry.bound_checks(sub, report),
         },
         detail={
@@ -266,16 +263,19 @@ def gauss_check(field: Field, sample_count: int = QUADRATIC_SAMPLE_COUNT, seed=N
     """
     p, m, q = field.p, field.m, field.q
 
+    def deviation(evaluated, closed):  # per real/imaginary component, of numbers or arrays
+        return np.maximum(abs(evaluated.real - closed.real), abs(evaluated.imag - closed.imag))
+
     def entry(pair):
         evaluated, closed = pair
         return {
             "evaluated": [evaluated.real, evaluated.imag],
             "closed_form": [closed.real, closed.imag],
-            "deviation": _component_deviation(evaluated, closed),
+            "deviation": float(deviation(evaluated, closed)),
         }
 
-    fq = entry(gauss_sum_fq(field, check=False))
-    fp = entry(gauss_sum_fp(p, check=False))
+    fq = entry(gauss_sum_fq(field))
+    fp = entry(gauss_sum_fp(p))
     if q <= EXHAUSTIVE_TRIPLE_LIMIT:
         mode = "exhaustive"
         a1, a0 = np.divmod(np.arange(q * q), q)
@@ -288,8 +288,8 @@ def gauss_check(field: Field, sample_count: int = QUADRATIC_SAMPLE_COUNT, seed=N
     count, max_dev = 0, 0.0
     for a2, a1, a0 in batches:  # a running maximum keeps the arrays one batch long
         evaluated, closed = quadratic_sums(field, a2, a1, a0)
-        deviation = np.maximum(abs(evaluated.real - closed.real), abs(evaluated.imag - closed.imag))
-        count, max_dev = count + len(deviation), max(max_dev, float(deviation.max(initial=0.0)))
+        dev = deviation(evaluated, closed)
+        count, max_dev = count + len(dev), max(max_dev, float(dev.max(initial=0.0)))
     ok = fq["deviation"] <= EPS and fp["deviation"] <= EPS and max_dev <= EPS
     return {
         "p": p,
@@ -303,29 +303,23 @@ def gauss_check(field: Field, sample_count: int = QUADRATIC_SAMPLE_COUNT, seed=N
 
 
 def fiber_check(field: Field) -> dict:
-    """Tabulate enumerated vs predicted fiber counts for both fiber kinds."""
-    rows = []
-    ok = True
+    """Enumerated vs predicted fiber counts of both kinds; ok if all agree and cover the field."""
+    rows, totals = [], {}
     for kind, counter in (
         ("linear-trace", count_trace_fiber),
         ("quadratic-trace", count_trace_square_fiber),
     ):
-        for alpha in range(field.p):
-            try:
-                rep = counter(field, alpha)
-                rows.append(
-                    {
-                        "kind": kind,
-                        "alpha": alpha,
-                        "enumerated": rep.count_enumerated,
-                        "predicted": rep.count_predicted,
-                    }
-                )
-            except PredictionMismatch as exc:
-                ok = False
-                rows.append({"kind": kind, "alpha": alpha, "error": str(exc)})
-    totals = {}
-    for kind in ("linear-trace", "quadratic-trace"):
-        totals[kind] = sum(r.get("enumerated", 0) for r in rows if r["kind"] == kind)
-        ok = ok and totals[kind] == field.q
+        reports = [counter(field, alpha) for alpha in range(field.p)]
+        rows += [
+            {
+                "kind": kind,
+                "alpha": rep.alpha,
+                "enumerated": rep.count_enumerated,
+                "predicted": rep.count_predicted,
+            }
+            for rep in reports
+        ]
+        totals[kind] = sum(rep.count_enumerated for rep in reports)
+    ok = all(r["enumerated"] == r["predicted"] for r in rows)
+    ok = ok and all(total == field.q for total in totals.values())
     return {"p": field.p, "m": field.m, "rows": rows, "totals": totals, "ok": ok}

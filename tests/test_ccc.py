@@ -5,6 +5,7 @@ Frozen (n, M, d, omega) tuples were derived with the independent naive
 implementation (set dedup, per-word symbol counts, double-loop distances).
 """
 
+from dataclasses import replace
 from fractions import Fraction
 
 import numpy as np
@@ -19,7 +20,6 @@ from tracecc import (
     build_defining_set_D,
     build_defining_set_E,
     build_trace_code,
-    composition_vector,
     extract_subcode_first,
     extract_subcode_second,
     lfvc_evaluate,
@@ -29,7 +29,7 @@ from tracecc import (
     predicted_ccc_first,
     predicted_ccc_second,
 )
-from tracecc.ccc import _constant_composition, ccc_json
+from tracecc.ccc import CONSTRUCTIONS, _constant_composition, build_construction, ccc_json
 
 
 def naive_pairwise_min(words):
@@ -55,16 +55,11 @@ def second_subcode(p, m, which):
 
 
 def test_composition_of_zero_word():
-    assert composition_vector([0] * 6, 3) == (6, 0, 0)
+    assert _constant_composition(np.zeros((1, 6), dtype=np.int8), 3) == ((6, 0, 0), True)
 
 
 def test_composition_simple_word():
-    assert composition_vector([1, 2, 0, 1], 3) == (1, 2, 1)
-
-
-def test_composition_rejects_foreign_symbol():
-    with pytest.raises(ValueError):
-        composition_vector([0, 3], 3)
+    assert _constant_composition(np.array([[1, 2, 0, 1]], dtype=np.int8), 3) == ((1, 2, 1), True)
 
 
 # -- pairwise distance oracle ---------------------------------------------------------
@@ -118,7 +113,7 @@ def test_first_subcode_52_alpha0():
 def test_first_subcode_words_all_share_composition():
     sub = first_subcode(3, 3, 1)
     for row in sub.words:
-        assert composition_vector(row, 3) == sub.composition
+        assert tuple(np.bincount(row, minlength=3)) == sub.composition
 
 
 def test_first_subcode_requires_D_code(f9):
@@ -300,6 +295,22 @@ def test_lfvc_rejects_bad_composition():
 def test_lfvc_exactness_uses_integers():
     report = lfvc_evaluate(12, 36, 6, (0, 2, 2, 2, 2, 2, 2))
     assert report.denominator == 12 * 6 - 144 + 24 == -48
+
+
+@pytest.mark.parametrize(
+    "construction,m,alpha,check,corrupt",
+    [
+        ("first", 3, 0, "lfvc_verdict", {"verdict": "not-optimal"}),
+        ("first", 3, 1, "lfvc_verdict", {"denominator": 1}),
+        ("second-S", 4, None, "lfvc_bound_inapplicable", {"verdict": "not-optimal"}),
+        ("second-complement", 4, None, "lfvc_consistent", {"denominator": 10**6}),
+    ],
+)
+def test_bound_checks_can_fail(construction, m, alpha, check, corrupt):
+    _, sub = build_construction(make_field(3, m), construction, alpha)
+    bound_checks = CONSTRUCTIONS[construction].bound_checks
+    assert bound_checks(sub, sub.lfvc())[check] is True
+    assert bound_checks(sub, replace(sub.lfvc(), **corrupt))[check] is False
 
 
 # -- internals and serialization -----------------------------------------------------------------

@@ -4,7 +4,7 @@ import json
 
 import pytest
 
-from tracecc import DuplicateWords, ccc, cli, sweep
+from tracecc import DuplicateWords, ccc, charsums, cli, sweep
 from tracecc.cli import main
 
 
@@ -122,6 +122,35 @@ def test_build_second_rejects_alpha():
     assert main(
         ["build", "--p", "3", "--m", "2", "--construction", "second-S", "--alpha", "0"]
     ) == 2
+
+
+@pytest.mark.parametrize("alpha", ["5", "-1"])
+def test_build_rejects_alpha_outside_residues(capsys, alpha):
+    argv = ["build", "--p", "3", "--m", "3", "--construction", "first", "--alpha", alpha]
+    assert main(argv) == 2
+    assert f"error: alpha {alpha} is not a residue mod 3" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["build", "--p", "3", "--m", "3", "--construction", "first", "--alpha", "0"],
+        ["verify-sweep", "--p", "3", "--m", "2", "2"],
+        ["gauss-check", "--p", "3", "--m", "2"],
+        ["fibers", "--p", "3", "--m", "2", "--format", "csv"],
+    ],
+    ids=["build", "verify-sweep", "gauss-check", "fibers"],
+)
+def test_unwritable_out_exits_2_before_running(tmp_path, monkeypatch, capsys, argv):
+    def must_not_run(*args, **kwargs):
+        raise AssertionError("the command ran although its report could not be written")
+
+    monkeypatch.setattr(cli, "make_field", must_not_run)
+    monkeypatch.setattr(cli, "run_sweep", must_not_run)
+    for out in (tmp_path / "missing" / "report.json", tmp_path):
+        assert main([*argv, "--out", str(out)]) == 2
+        assert capsys.readouterr().err.startswith(f"error: cannot write --out {out}")
+    assert not (tmp_path / "missing").exists()
 
 
 def test_build_degenerate_second_exits_2():
@@ -328,6 +357,48 @@ def test_fibers_csv(tmp_path):
     assert lines[0] == "kind,alpha,enumerated,predicted"
     assert "quadratic-trace,0,5,5" in lines
     assert len(lines) == 7
+
+
+@pytest.mark.parametrize("fmt", ["json", "csv"])
+def test_fibers_wrong_prediction_exits_1(tmp_path, monkeypatch, fmt):
+    predicted = charsums.predicted_square_trace_fiber
+    monkeypatch.setattr(
+        charsums, "predicted_square_trace_fiber", lambda p, m, alpha: predicted(p, m, alpha) + 1
+    )
+    out = tmp_path / f"f.{fmt}"
+    assert main(["fibers", "--p", "3", "--m", "3", "--format", fmt, "--out", str(out)]) == 1
+    if fmt == "csv":
+        assert "quadratic-trace,0,9,10" in out.read_text().splitlines()
+    else:
+        doc = json.loads(out.read_text())
+        assert doc["ok"] is False
+        row = {"kind": "quadratic-trace", "alpha": 0, "enumerated": 9, "predicted": 10}
+        assert row in doc["rows"]
+
+
+# -- build and verify-sweep agree ------------------------------------------------------------
+
+
+def test_build_and_sweep_report_the_same_subcode_verdicts(tmp_path, full_sweep_report):
+    sweep_names = {
+        "composition_ok": "subcode_composition",
+        "distance_matches_ambient": "distance_matches_ambient",
+        "prediction_matches": "subcode_parameters",
+    }
+    records = [
+        inst
+        for inst in full_sweep_report.instances
+        if inst.p == 3 and inst.m <= 4 and inst.status != "skip"
+    ]
+    assert len(records) == 13
+    for inst in records:
+        argv = ["build", "--p", "3", "--m", str(inst.m), "--construction", inst.construction]
+        if inst.alpha is not None:
+            argv += ["--alpha", str(inst.alpha)]
+        code, doc = run_json(tmp_path, "b.json", argv)
+        assert code == 0
+        built = {sweep_names[name]: v for name, v in doc["ccc"]["checks"].items()}
+        assert built == {name: inst.checks[name] for name in sweep_names.values()}, inst.label()
 
 
 # -- fields the int8 tables cannot hold, or too large to build -----------------------------

@@ -1,10 +1,12 @@
 """The sweep's plan and run loop: one field build per (p, m), and a spec
-refused before any instance runs; gauss_check's verdict and its work."""
+refused before any instance runs; the gauss, fiber and ambient verdicts can
+each read false, and gauss_check's work."""
 
 import numpy as np
 import pytest
 
 from tracecc import NotPrime, SweepSpec, ccc, charsums, gfpm, make_field, run_sweep, sweep
+from tracecc.codes import WeightDistribution
 
 
 def test_each_field_is_built_once(monkeypatch):
@@ -88,3 +90,38 @@ def test_gauss_check_takes_no_scalar_trace_or_inverse_per_triple(monkeypatch):
     # the one scalar trace is the 1x1 trace form of the GF(3) that gauss_sum_fp builds
     assert traced == [make_field(3, 1)]
     assert inverted == []
+
+
+def test_fiber_check_keeps_both_numbers_of_a_failing_row(monkeypatch):
+    predicted = charsums.predicted_square_trace_fiber
+    monkeypatch.setattr(
+        charsums, "predicted_square_trace_fiber", lambda p, m, alpha: predicted(p, m, alpha) + 1
+    )
+    report = sweep.fiber_check(make_field(3, 3))
+    assert report["ok"] is False
+    quadratic = [r for r in report["rows"] if r["kind"] == "quadratic-trace"]
+    assert quadratic[0] == {"kind": "quadratic-trace", "alpha": 0, "enumerated": 9, "predicted": 10}
+    assert report["totals"] == {"linear-trace": 27, "quadratic-trace": 27}
+
+
+def test_fiber_check_fails_fibers_that_miss_the_field(monkeypatch):
+    # every row agrees with its prediction, but the linear fibers cover 3 of 27 elements
+    monkeypatch.setattr(
+        sweep, "count_trace_fiber", lambda field, alpha: charsums.FiberCountReport(alpha, 1, 1, "")
+    )
+    report = sweep.fiber_check(make_field(3, 3))
+    assert report["totals"]["linear-trace"] == 3
+    assert report["ok"] is False
+
+
+def test_corrupted_census_fails_ambient_dimension(monkeypatch):
+    entry = ccc.CONSTRUCTIONS["first"]
+
+    def one_word_more(p, m, alpha):
+        (weight, count), *rest = entry.predict_census(p, m, alpha)
+        return WeightDistribution(((weight, count + 1), *rest))
+
+    monkeypatch.setitem(ccc.CONSTRUCTIONS, "first", entry._replace(predict_census=one_word_more))
+    record = sweep.verify_first_instance(make_field(3, 3), 0)
+    assert record.checks["ambient_dimension"] is False
+    assert record.status == "fail"

@@ -1,10 +1,12 @@
 """Constant composition subcodes of the ambient trace codes.
 
-Extraction keeps two independent routes to the minimum distance: the
-O(M^2 * n) pairwise census (the oracle) and the ambient minimum weight (the
-shortcut justified by the difference argument). Both are stored so reports
-can compare them. The pairwise oracle is skipped above PAIRWISE_ORACLE_CAP
-words, where only the shortcut value is available.
+A subcode is the ambient code's distinct words whose class ids occur over
+the index set, in order of first occurrence there. Extraction keeps two
+independent routes to the minimum distance: the O(M^2 * n) pairwise census
+(the oracle) and the ambient minimum weight (the shortcut justified by the
+difference argument). Both are stored so reports can compare them. The
+pairwise oracle is skipped above PAIRWISE_ORACLE_CAP words, where only the
+shortcut value is available.
 
 The bound evaluation is exact integer/rational arithmetic throughout;
 optimality means M * denominator == n * d with no floating point involved.
@@ -28,7 +30,6 @@ from .codes import (
     build_defining_set_E,
     build_trace_code,
     codewords_as_strings,
-    distinct_row_indices,
     minimum_distance,
     predicted_weight_distribution_lem41,
     predicted_weight_distribution_thm31,
@@ -132,8 +133,9 @@ def _extract(code: TraceCode, construction: str, pairwise_cap: int) -> CccCode:
     if ds.kind != entry.defining_set:
         raise ValueError(f"{construction} subcodes come from a {entry.defining_set} code")
     field = code.field
-    rows = code.matrix[np.flatnonzero(entry.index_mask(field))]
-    words = rows[distinct_row_indices(rows)]
+    index = np.flatnonzero(entry.index_mask(field))
+    first = np.unique(code.classes[index], return_index=True)[1]
+    words = code.matrix[index[np.sort(first)]]
     composition, composition_ok = _constant_composition(words, field.p)
     d_ambient = minimum_distance(code)
     d_pairwise = pairwise_min_distance(words) if words.shape[0] <= pairwise_cap else None
@@ -143,7 +145,7 @@ def _extract(code: TraceCode, construction: str, pairwise_cap: int) -> CccCode:
         words,
         composition,
         composition_ok,
-        index_count=int(rows.shape[0]),
+        index_count=len(index),
         d_pairwise=d_pairwise,
         d_ambient=d_ambient,
         alpha=ds.alpha,

@@ -67,16 +67,9 @@ def _field(args):
 
 def _emit(doc: dict, args, human_lines=None) -> None:
     """Write the JSON document to --out or stdout; human lines go wherever is free."""
-    payload = json.dumps(doc, indent=2) + "\n"
-    if args.out:
-        Path(args.out).write_text(payload)
-        for line in human_lines or []:
-            print(line)
-    else:
-        if human_lines:
-            for line in human_lines:
-                print(line, file=sys.stderr)
-        sys.stdout.write(payload)
+    _write_text(json.dumps(doc, indent=2) + "\n", args)
+    for line in human_lines or []:
+        print(line, file=sys.stdout if args.out else sys.stderr)
 
 
 def _stamp(doc: dict, args) -> dict:
@@ -95,10 +88,11 @@ def _write_text(text: str, args) -> None:
 def _cmd_build(args) -> int:
     field = _field(args)
     code, sub = build_construction(field, args.construction, args.alpha)
-
+    checks = sub.checks()
+    ok = all(v is not False for v in checks.values())
     if args.format == "csv":
         _write_text(weight_table_csv(weight_distribution(code)), args)
-        return EXIT_OK
+        return EXIT_OK if ok else EXIT_MISMATCH
 
     doc = {"command": "build"}
     _stamp(doc, args)
@@ -116,8 +110,6 @@ def _cmd_build(args) -> int:
         + (f" bound={report.bound}" if report.bound is not None else "")
         + f" verdict={report.verdict}",
     ]
-    checks = doc["ccc"]["checks"]
-    ok = all(v is not False for v in checks.values())
     lines.append(f"checks         {'all ok' if ok else 'FAILED: ' + str(checks)}")
     _emit(doc, args, lines)
     return EXIT_OK if ok else EXIT_MISMATCH

@@ -2,9 +2,10 @@
 
 A trace code is the linear code whose codeword for each index element a is
 (Tr(a*d1), ..., Tr(a*dn)) with the d's running over a defining set in
-canonical field order. The weight census here is an exhaustive count over
-the materialized distinct codewords; it shares no logic with the closed-form
-predictors it is checked against.
+canonical field order. Its rows are hashed once, into the class ids that
+its distinct words and every subcode are read from. The weight census is an
+exhaustive count over the distinct codewords; it shares no logic with the
+closed-form predictors it is checked against.
 """
 
 from __future__ import annotations
@@ -94,16 +95,19 @@ def build_defining_set_E(field: Field) -> DefiningSet:
 
 
 class TraceCode:
-    """All q indexed codewords plus the deduplicated distinct view.
+    """All q indexed codewords, their class ids and the distinct view.
 
-    `matrix[i]` is the codeword of the element with canonical index i.
+    `matrix[i]` is the codeword of the element with canonical index i and
+    `classes[i]` its class id (see row_classes); class k first occurs at row `first[k]`.
     """
 
-    def __init__(self, defining_set, matrix, distinct_words, dimension):
+    def __init__(self, defining_set, matrix, classes, first, dimension):
         self.defining_set = defining_set
         self.field = defining_set.field
         self.matrix = matrix
-        self.distinct_words = distinct_words
+        self.classes = classes
+        self.first = first
+        self.weights = np.count_nonzero(matrix, axis=1)[first]  # of each distinct word
         self.dimension = dimension
 
     @property
@@ -112,7 +116,11 @@ class TraceCode:
 
     @property
     def distinct_count(self) -> int:
-        return self.distinct_words.shape[0]
+        return len(self.first)
+
+    @property
+    def distinct_words(self) -> np.ndarray:
+        return self.matrix[self.first]
 
     def codeword(self, a: FieldElement) -> np.ndarray:
         if a.field != self.field:
@@ -126,14 +134,13 @@ class TraceCode:
         )
 
 
-def distinct_row_indices(matrix: np.ndarray) -> np.ndarray:
-    """Index of the first occurrence of each distinct row, in row order."""
+def row_classes(matrix: np.ndarray) -> np.ndarray:
+    """Class id of each row: equal rows share one, numbered in order of first occurrence."""
     seen = {}
-    for i in range(matrix.shape[0]):
-        key = matrix[i].tobytes()
-        if key not in seen:
-            seen[key] = i
-    return np.fromiter(seen.values(), dtype=np.int64, count=len(seen))
+    classes = np.empty(len(matrix), dtype=np.int64)
+    for i, row in enumerate(matrix):
+        classes[i] = seen.setdefault(row.tobytes(), len(seen))
+    return classes
 
 
 def build_trace_code(ds: DefiningSet) -> TraceCode:
@@ -155,26 +162,24 @@ def build_trace_code(ds: DefiningSet) -> TraceCode:
         # entries are below 2p, and x - p wraps above x in uint8 exactly when x < p
         np.minimum(matrix, matrix - np.uint8(p), out=matrix)
     matrix = matrix.view(np.int8)
-    first = distinct_row_indices(matrix)
-    distinct = matrix[first]
-    count = distinct.shape[0]
+    classes = row_classes(matrix)
+    first = np.unique(classes, return_index=True)[1]
+    count = len(first)
     dimension = round(math.log(count, p))
     if p**dimension != count:
         raise IdentityViolation(f"{count} distinct codewords is not a power of {p}")
-    return TraceCode(ds, matrix, distinct, dimension)
+    return TraceCode(ds, matrix, classes, first, dimension)
 
 
 def weight_distribution(code: TraceCode) -> WeightDistribution:
     """Exhaustive weight census over the distinct codewords."""
-    weights = np.count_nonzero(code.distinct_words, axis=1)
-    freq = np.bincount(weights, minlength=code.length + 1)
+    freq = np.bincount(code.weights, minlength=code.length + 1)
     return WeightDistribution.from_counts({w: int(c) for w, c in enumerate(freq) if c})
 
 
 def minimum_distance(code: TraceCode) -> int:
     """Minimum nonzero Hamming weight over the distinct codewords."""
-    weights = np.count_nonzero(code.distinct_words, axis=1)
-    nonzero = weights[weights > 0]
+    nonzero = code.weights[code.weights > 0]
     if nonzero.size == 0:
         raise ZeroCode("the code has no nonzero codeword")
     return int(nonzero.min())

@@ -260,7 +260,7 @@ class Field:
 
 
 class FieldElement:
-    """Immutable element of a Field; supports +, -, *, /, ** and comparison."""
+    """Immutable element of a Field; supports +, -, *, /, ** and equality."""
 
     __slots__ = ("field", "coeffs")
 
@@ -281,7 +281,7 @@ class FieldElement:
     def is_zero(self) -> bool:
         return not any(self.coeffs)
 
-    # -- comparison / hashing ---------------------------------------------------
+    # -- equality / hashing -----------------------------------------------------
 
     def _check(self, other):
         if not isinstance(other, FieldElement):
@@ -296,14 +296,6 @@ class FieldElement:
 
     def __hash__(self):
         return hash((self.field, self.coeffs))
-
-    def __lt__(self, other):
-        self._check(other)
-        return self.coeffs < other.coeffs
-
-    def __le__(self, other):
-        self._check(other)
-        return self.coeffs <= other.coeffs
 
     # -- arithmetic -------------------------------------------------------------
 

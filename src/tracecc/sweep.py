@@ -16,7 +16,7 @@ from dataclasses import dataclass, field as dataclass_field
 
 import numpy as np
 
-from .ccc import CONSTRUCTIONS, PAIRWISE_ORACLE_CAP, build_construction
+from .ccc import CONSTRUCTIONS, PAIRWISE_ORACLE_CAP, build_construction, ccc_json
 from .charsums import (
     EPS,
     count_trace_fiber,
@@ -138,8 +138,8 @@ def _verify(construction: str, field: Field, alpha, pairwise_cap: int) -> Instan
     census = weight_distribution(code)
     predicted_wd = entry.predict_census(p, m, alpha)
     predicted = entry.predict(p, m, alpha)
-    verdicts = sub.checks()
-    report = sub.lfvc()
+    doc = ccc_json(sub)
+    verdicts = doc["checks"]
     result = InstanceResult(
         construction,
         p,
@@ -153,19 +153,14 @@ def _verify(construction: str, field: Field, alpha, pairwise_cap: int) -> Instan
             "subcode_composition": verdicts["composition_ok"],
             "subcode_parameters": verdicts["prediction_matches"],
             "distance_matches_ambient": verdicts["distance_matches_ambient"],
-            **entry.bound_checks(sub, report),
+            **entry.bound_checks(sub, sub.lfvc()),
         },
         detail={
             "census": _wd_rows(census),
             "predicted_census": _wd_rows(predicted_wd),
-            "n": sub.n,
-            "M": sub.M,
-            "d": sub.d,
-            "d_pairwise": sub.d_pairwise,
-            "d_ambient": sub.d_ambient,
-            "omega": list(sub.composition),
+            **{key: doc[key] for key in ("n", "M", "d", "d_pairwise", "d_ambient", "omega")},
             "predicted": {**predicted._asdict(), "omega": list(predicted.omega)},
-            "lfvc": report.to_json_dict(),
+            "lfvc": doc["lfvc"],
         },
     )
     result.seconds = time.perf_counter() - started

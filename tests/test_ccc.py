@@ -20,6 +20,7 @@ from tracecc import (
     build_defining_set_D,
     build_defining_set_E,
     build_trace_code,
+    enumerate_field,
     extract_subcode_first,
     extract_subcode_second,
     lfvc_evaluate,
@@ -176,6 +177,40 @@ def test_second_subcode_rejects_bad_inputs(f27, f9):
     d_code = build_trace_code(build_defining_set_D(f9, 1))
     with pytest.raises(ValueError):
         extract_subcode_second(d_code, "S")
+
+
+# -- extraction against a naive reference --------------------------------------------------
+
+
+def naive_index_set(field, construction):
+    """Index elements of a subcode by scalar arithmetic, in canonical order."""
+    if construction == "first":
+        keep = lambda a: any(a.coeffs[1:])  # outside the prime subfield
+    elif construction == "second-S":
+        keep = lambda a: (a * a).trace() != 0
+    else:
+        keep = lambda a: not a.is_zero() and (a * a).trace() == 0
+    return [a for a in enumerate_field(field) if keep(a)]
+
+
+EXTRACTION_CASES = [
+    (p, m, construction, alpha)
+    for p, m in [(3, 2), (3, 3), (3, 4), (5, 2), (5, 3), (7, 2), (7, 3)]
+    for construction, alpha in [("first", a) for a in range(p)]
+    # the second family needs even m, and E is empty over GF(5^2)
+    + ([("second-S", None), ("second-complement", None)] if m % 2 == 0 and p**m != 25 else [])
+]
+
+
+@pytest.mark.parametrize("p,m,construction,alpha", EXTRACTION_CASES)
+def test_extraction_matches_naive_dedupe(p, m, construction, alpha):
+    field = make_field(p, m)
+    code, sub = build_construction(field, construction, alpha)
+    index = naive_index_set(field, construction)
+    # the index set's codewords deduplicated by tuple, in row order
+    reference = list(dict.fromkeys(tuple(code.codeword(a).tolist()) for a in index))
+    assert [tuple(word) for word in sub.words.tolist()] == reference
+    assert sub.index_count == len(index)
 
 
 # -- distance oracle agrees with the ambient shortcut -----------------------------------------

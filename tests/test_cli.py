@@ -376,6 +376,21 @@ def test_fibers_wrong_prediction_exits_1(tmp_path, monkeypatch, fmt):
         assert row in doc["rows"]
 
 
+@pytest.mark.parametrize("fmt", ["json", "csv"])
+def test_build_composition_violation_exits_1(tmp_path, monkeypatch, fmt):
+    composition = ccc._constant_composition
+    monkeypatch.setattr(
+        ccc, "_constant_composition", lambda words, p: (composition(words, p)[0], False)
+    )
+    out = tmp_path / f"b.{fmt}"
+    argv = ["build", "--p", "3", "--m", "3", "--construction", "first", "--alpha", "0"]
+    assert main(argv + ["--format", fmt, "--out", str(out)]) == 1
+    if fmt == "csv":
+        assert out.read_text() == "weight,frequency\n0,1\n6,8\n"
+    else:
+        assert json.loads(out.read_text())["ccc"]["checks"]["composition_ok"] is False
+
+
 # -- build and verify-sweep agree ------------------------------------------------------------
 
 

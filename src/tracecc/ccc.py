@@ -2,11 +2,12 @@
 
 A subcode is the ambient code's distinct words whose class ids occur over
 the index set, in order of first occurrence there. Extraction keeps two
-independent routes to the minimum distance: the O(M^2 * n) pairwise census
-(the oracle) and the ambient minimum weight (the shortcut justified by the
-difference argument). Both are stored so reports can compare them. The
-pairwise oracle is skipped above PAIRWISE_ORACLE_CAP words, where only the
-shortcut value is available.
+independent routes to the minimum distance: the pairwise census (the oracle)
+and the ambient minimum weight (the shortcut justified by the difference
+argument). Both are stored so reports can compare them. The oracle compares
+one word per orbit of scaling (every index set is closed under GF(p)^*) and
+the all-ones shift (for D(alpha != 0)), each used only if a check on the
+words shows it keeps them, and is skipped above PAIRWISE_ORACLE_CAP words.
 
 The bound evaluation is exact integer/rational arithmetic throughout;
 optimality means M * denominator == n * d with no floating point involved.
@@ -36,29 +37,41 @@ from .codes import (
 )
 from .errors import CompositionLengthMismatch, DegenerateSet, DuplicateWords, UnsupportedDegree
 
-#: largest word count for which the O(M^2 n) pairwise distance oracle runs
+#: largest word count for which the pairwise oracle runs (its match matrix is one row per orbit)
 PAIRWISE_ORACLE_CAP = 5000
+COMPOSITION_BLOCK = 256  # rows counted by one bincount in the composition check
 
 
-def pairwise_min_distance(words) -> int:
+def pairwise_min_distance(words, p: Optional[int] = None) -> int:
     """Exact minimum Hamming distance over all unordered pairs of words.
 
-    Runs the full O(M^2 * n) census via one match-count matrix per symbol;
-    float32 accumulation is exact because counts never exceed 2**24.
+    Maps of the word set onto itself keep distances, so one word per orbit is
+    compared with all words. The maps are w -> w + 1 and w -> lam*w, lam a
+    primitive root mod p, tried if p is given and used if every image is a word.
     """
     w = np.ascontiguousarray(np.asarray(words, dtype=np.int8))
     if w.ndim != 2 or w.shape[0] < 2:
         raise ValueError("need a 2-d array of at least two words")
     m_words, n = w.shape
-    matches = np.zeros((m_words, m_words), dtype=np.float32)
+    table = {row.tobytes(): i for i, row in enumerate(w)}
+    if len(table) != m_words:
+        raise DuplicateWords("two identical words found (distance 0)")
+    maps = []  # as lookup tables over the symbols 0..p-1
+    if p is not None and 0 <= w.min() <= w.max() < p:
+        lam = next((g for g in range(2, p) if len({pow(g, k, p) for k in range(1, p)}) == p - 1), 1)
+        maps = [(np.arange(p) + 1) % p, lam * np.arange(p) % p]
+    images = ([table.get(row.tobytes()) for row in lut.astype(np.int8)[w]] for lut in maps)
+    perms = [np.array(image) for image in images if None not in image]  # the maps that keep W
+    label, previous = np.arange(m_words), None  # ends as the least index in each orbit
+    while not np.array_equal(label, previous):
+        previous, label = label, np.minimum.reduce([label] + [label[perm] for perm in perms])
+    reps = np.flatnonzero(label == np.arange(m_words))
+    matches = np.zeros((len(reps), m_words), dtype=np.float32)  # exact: counts stay below 2**24
     for symbol in np.unique(w):
         hits = (w == symbol).astype(np.float32)
-        matches += hits @ hits.T
-    np.fill_diagonal(matches, -1.0)
-    best = int(matches.max())
-    if best >= n:
-        raise DuplicateWords("two identical words found (distance 0)")
-    return n - best
+        matches += hits[reps] @ hits.T
+    matches[np.arange(len(reps)), reps] = -1.0
+    return n - int(matches.max())
 
 
 class CccParams(NamedTuple):
@@ -122,9 +135,16 @@ class CccCode:
 
 
 def _constant_composition(words: np.ndarray, p: int) -> tuple:
-    """Composition of word 0, and whether every word shares it."""
-    counts = np.stack([np.count_nonzero(words == s, axis=1) for s in range(p)], axis=1)
-    return tuple(int(c) for c in counts[0]), bool((counts == counts[0]).all())
+    """Composition of word 0, and whether every word shares it (row r's bins offset by r*p)."""
+    if words.size and not 0 <= words.min() <= words.max() < p:
+        raise ValueError(f"a symbol lies outside 0..{p - 1}")
+    first = np.bincount(words[0], minlength=p)
+    same = True
+    for block in np.split(words, range(COMPOSITION_BLOCK, len(words), COMPOSITION_BLOCK)):
+        offset = block + p * np.arange(len(block))[:, None]
+        counts = np.bincount(offset.ravel(), minlength=p * len(block))
+        same = same and bool((counts.reshape(-1, p) == first).all())
+    return tuple(int(c) for c in first), same
 
 
 def _extract(code: TraceCode, construction: str, pairwise_cap: int) -> CccCode:
@@ -138,7 +158,7 @@ def _extract(code: TraceCode, construction: str, pairwise_cap: int) -> CccCode:
     words = code.matrix[index[np.sort(first)]]
     composition, composition_ok = _constant_composition(words, field.p)
     d_ambient = minimum_distance(code)
-    d_pairwise = pairwise_min_distance(words) if words.shape[0] <= pairwise_cap else None
+    d_pairwise = pairwise_min_distance(words, field.p) if words.shape[0] <= pairwise_cap else None
     return CccCode(
         code,
         construction,
@@ -369,5 +389,5 @@ def ccc_json(subcode: CccCode, emit_codewords: bool = False) -> dict:
     doc["lfvc"] = subcode.lfvc().to_json_dict()
     doc["checks"] = subcode.checks()
     if emit_codewords:
-        doc["codewords"] = codewords_as_strings(subcode.words)
+        doc["codewords"] = codewords_as_strings(subcode.words, field.p)
     return doc

@@ -218,9 +218,9 @@ def predicted_weight_distribution_lem41(p: int, m: int) -> WeightDistribution:
 # -- serialization -------------------------------------------------------------
 
 
-def codewords_as_strings(words: np.ndarray) -> list:
-    """Codewords as base-p digit strings, one string per word."""
-    return ["".join(str(int(s)) for s in row) for row in words]
+def codewords_as_strings(words: np.ndarray, p: int) -> list:
+    """Codewords as strings of base-p symbols: digits for p <= 10, else comma-separated."""
+    return [("" if p <= 10 else ",").join(str(int(s)) for s in row) for row in words]
 
 
 def trace_code_json(code: TraceCode, emit_codewords: bool = False) -> dict:
@@ -237,7 +237,7 @@ def trace_code_json(code: TraceCode, emit_codewords: bool = False) -> dict:
     doc["dimension"] = code.dimension
     doc["weight_distribution"] = [list(pair) for pair in weight_distribution(code)]
     if emit_codewords:
-        doc["codewords"] = codewords_as_strings(code.distinct_words)
+        doc["codewords"] = codewords_as_strings(code.distinct_words, field.p)
     return doc
 
 

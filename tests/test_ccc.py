@@ -30,7 +30,13 @@ from tracecc import (
     predicted_ccc_first,
     predicted_ccc_second,
 )
-from tracecc.ccc import CONSTRUCTIONS, _constant_composition, build_construction, ccc_json
+from tracecc.ccc import (
+    COMPOSITION_BLOCK,
+    CONSTRUCTIONS,
+    _constant_composition,
+    build_construction,
+    ccc_json,
+)
 
 
 def naive_pairwise_min(words):
@@ -63,6 +69,24 @@ def test_composition_simple_word():
     assert _constant_composition(np.array([[1, 2, 0, 1]], dtype=np.int8), 3) == ((1, 2, 1), True)
 
 
+@pytest.mark.parametrize("bad_row", [COMPOSITION_BLOCK - 1, COMPOSITION_BLOCK])
+def test_composition_violation_at_block_boundary(bad_row):
+    # every row a cyclic shift of one word, and M not a multiple of the block size
+    base = np.array([0, 0, 1, 1, 2, 2], dtype=np.int8)
+    words = np.stack([np.roll(base, r) for r in range(2 * COMPOSITION_BLOCK + 88)])
+    assert _constant_composition(words, 3) == ((2, 2, 2), True)
+    words[bad_row, 0] = (words[bad_row, 0] + 1) % 3
+    assert _constant_composition(words, 3) == ((2, 2, 2), False)
+
+
+@pytest.mark.parametrize("symbol", [3, -1])
+def test_composition_refuses_foreign_symbol(symbol):
+    words = np.array([[0, 1, 2], [2, 1, 0]], dtype=np.int8)
+    words[1, 1] = symbol
+    with pytest.raises(ValueError):
+        _constant_composition(words, 3)
+
+
 # -- pairwise distance oracle ---------------------------------------------------------
 
 
@@ -85,6 +109,44 @@ def test_pairwise_detects_duplicates():
 def test_pairwise_needs_two_words():
     with pytest.raises(ValueError):
         pairwise_min_distance([[0, 1, 2]])
+
+
+def test_pairwise_with_p_detects_duplicates_and_needs_two_words():
+    with pytest.raises(DuplicateWords):
+        pairwise_min_distance([[0, 1, 2], [1, 2, 0], [0, 1, 2]], 3)
+    with pytest.raises(ValueError):
+        pairwise_min_distance([[0, 1, 2]], 3)
+
+
+def test_pairwise_oracle_drops_maps_that_do_not_keep_the_words():
+    p, sub = 5, first_subcode(5, 3, 1)
+    words = sub.words.copy()
+    rows = words.tolist()
+    index = {tuple(w): i for i, w in enumerate(rows)}
+    # the least index in each orbit of w -> 2^a * w + c (2 is a primitive root mod 5)
+    maps = [(pow(2, a, p), c) for a in range(p - 1) for c in range(p)]
+    orbit_min = [min(index[tuple((lam * s + c) % p for s in w)] for lam, c in maps) for w in rows]
+    reps = [i for i, r in enumerate(orbit_min) if i == r]
+    # move the last word, no representative, one coordinate closer to a nearest
+    # neighbour, to a symbol no representative has there: the set stays
+    # duplicate-free but is no longer closed under either map
+    last = len(words) - 1
+    assert last not in reps
+    dist = np.count_nonzero(words != words[last], axis=1)
+    k, v = next(
+        (k, v)
+        for k in range(words.shape[1])
+        for v in range(p)
+        if v != words[last, k]
+        and v not in words[reps, k]
+        and np.any((dist == sub.d) & (words[:, k] == v))
+    )
+    words[last, k] = v
+    # comparing only the old representatives would miss the new closest pair
+    for r in reps:
+        others = np.delete(np.count_nonzero(words != words[r], axis=1), r)
+        assert others.min() == sub.d
+    assert pairwise_min_distance(words, p) == naive_pairwise_min(words.tolist()) == sub.d - 1
 
 
 # -- first construction -----------------------------------------------------------------
@@ -211,6 +273,20 @@ def test_extraction_matches_naive_dedupe(p, m, construction, alpha):
     reference = list(dict.fromkeys(tuple(code.codeword(a).tolist()) for a in index))
     assert [tuple(word) for word in sub.words.tolist()] == reference
     assert sub.index_count == len(index)
+
+
+@pytest.mark.parametrize("p,m,construction,alpha", EXTRACTION_CASES)
+def test_pairwise_orbit_oracle_matches_naive(p, m, construction, alpha):
+    sub = build_construction(make_field(p, m), construction, alpha)[1]
+    words = sub.words.tolist()
+    # the premise of the orbit reduction: the word set is closed under scaling,
+    # and for D(alpha != 0) also under adding the all-ones word
+    closed = {tuple(w) for w in words}
+    lam = next(g for g in range(2, p) if len({pow(g, k, p) for k in range(1, p)}) == p - 1)
+    assert {tuple(lam * s % p for s in w) for w in words} == closed
+    if alpha:
+        assert {tuple((s + 1) % p for s in w) for w in words} == closed
+    assert pairwise_min_distance(sub.words, p) == naive_pairwise_min(words)
 
 
 # -- distance oracle agrees with the ambient shortcut -----------------------------------------

@@ -78,6 +78,19 @@ def test_build_emit_codewords(tmp_path):
     assert len(doc["ccc"]["codewords"]) == 4
 
 
+def test_build_emit_codewords_p11_separates_symbols(tmp_path):
+    code, doc = run_json(
+        tmp_path,
+        "b.json",
+        ["build", "--p", "11", "--m", "2", "--construction", "first", "--alpha", "1",
+         "--emit-codewords"],
+    )
+    assert code == 0
+    n = doc["ccc"]["n"]
+    for string in doc["code"]["codewords"] + doc["ccc"]["codewords"]:
+        assert [int(s) < 11 for s in string.split(",")] == [True] * n
+
+
 def test_build_custom_modulus(tmp_path):
     code, doc = run_json(
         tmp_path,
@@ -278,11 +291,11 @@ def test_verify_sweep_failing_instance_is_reported(tmp_path, capsys, monkeypatch
     pairwise = ccc.pairwise_min_distance
     calls = []
 
-    def fails_once(words):
+    def fails_once(words, p):
         calls.append(len(words))
         if len(calls) == 1:
             raise DuplicateWords("two identical words found (distance 0)")
-        return pairwise(words)
+        return pairwise(words, p)
 
     monkeypatch.setattr(ccc, "pairwise_min_distance", fails_once)
     code, doc = run_json(

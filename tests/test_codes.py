@@ -298,6 +298,18 @@ def test_trace_code_json_emit_codewords(f9):
     assert all(len(w) == 4 and set(w) <= set("012") for w in doc["codewords"])
 
 
+@pytest.mark.parametrize("p", [11, 13])
+def test_codewords_above_p10_split_into_symbols(p):
+    code = build_trace_code(build_defining_set_D(make_field(p, 2), 1))
+    strings = trace_code_json(code, emit_codewords=True)["codewords"]
+    assert len(strings) == p**2
+    for word, string in zip(code.distinct_words, strings):
+        symbols = [int(s) for s in string.split(",")]
+        assert len(symbols) == code.length == p
+        assert all(0 <= s < p for s in symbols)
+        assert symbols == word.tolist()
+
+
 def test_json_has_no_alpha_for_E(f9):
     doc = trace_code_json(build_trace_code(build_defining_set_E(f9)))
     assert doc["kind"] == "E"

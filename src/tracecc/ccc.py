@@ -42,12 +42,12 @@ PAIRWISE_ORACLE_CAP = 5000
 COMPOSITION_BLOCK = 256  # rows counted by one bincount in the composition check
 
 
-def pairwise_min_distance(words, p: Optional[int] = None) -> int:
+def pairwise_min_distance(words) -> int:
     """Exact minimum Hamming distance over all unordered pairs of words.
 
     Maps of the word set onto itself keep distances, so one word per orbit is
-    compared with all words. The maps are w -> w + 1 and w -> lam*w, lam a
-    primitive root mod p, tried if p is given and used if every image is a word.
+    compared with all words: w -> w + 1 and w -> lam*w mod p (p the largest
+    symbol + 1, lam a primitive root mod p), each used if every image is a word.
     """
     w = np.ascontiguousarray(np.asarray(words, dtype=np.int8))
     if w.ndim != 2 or w.shape[0] < 2:
@@ -56,10 +56,9 @@ def pairwise_min_distance(words, p: Optional[int] = None) -> int:
     table = {row.tobytes(): i for i, row in enumerate(w)}
     if len(table) != m_words:
         raise DuplicateWords("two identical words found (distance 0)")
-    maps = []  # as lookup tables over the symbols 0..p-1
-    if p is not None and 0 <= w.min() <= w.max() < p:
-        lam = next((g for g in range(2, p) if len({pow(g, k, p) for k in range(1, p)}) == p - 1), 1)
-        maps = [(np.arange(p) + 1) % p, lam * np.arange(p) % p]
+    p = int(w.max()) + 1 if w.min() >= 0 else 0  # a negative symbol would wrap in a table
+    lam = next((g for g in range(2, p) if len({pow(g, k, p) for k in range(1, p)}) == p - 1), 1)
+    maps = [(np.arange(p) + 1) % p, lam * np.arange(p) % p] if p else []  # tables over 0..p-1
     images = ([table.get(row.tobytes()) for row in lut.astype(np.int8)[w]] for lut in maps)
     perms = [np.array(image) for image in images if None not in image]  # the maps that keep W
     label, previous = np.arange(m_words), None  # ends as the least index in each orbit
@@ -158,7 +157,7 @@ def _extract(code: TraceCode, construction: str, pairwise_cap: int) -> CccCode:
     words = code.matrix[index[np.sort(first)]]
     composition, composition_ok = _constant_composition(words, field.p)
     d_ambient = minimum_distance(code)
-    d_pairwise = pairwise_min_distance(words, field.p) if words.shape[0] <= pairwise_cap else None
+    d_pairwise = pairwise_min_distance(words) if words.shape[0] <= pairwise_cap else None
     return CccCode(
         code,
         construction,

@@ -223,7 +223,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_build.add_argument("--construction", choices=tuple(CONSTRUCTIONS), required=True)
     p_build.add_argument("--alpha", type=int, help="trace value (first construction)")
     p_build.add_argument(
-        "--emit-codewords", action="store_true", help="include codeword digit strings"
+        "--emit-codewords", action="store_true", help="include codewords (digits for p <= 10, comma-separated for p >= 11)"
     )
     _add_common(p_build)
     p_build.set_defaults(handler=_cmd_build)

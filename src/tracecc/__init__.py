@@ -22,7 +22,6 @@ from .ccc import (
 from .charsums import (
     EPS,
     FiberCountReport,
-    additive_character,
     count_trace_fiber,
     count_trace_square_fiber,
     gauss_sum_fp,
@@ -52,13 +51,14 @@ from .errors import (
     IdentityViolation,
     NotPrime,
     OddDegree,
+    ParameterError,
     ReducibleModulus,
     TraceCCError,
     UnsupportedDegree,
     ZeroCode,
     ZeroLeadingCoefficient,
 )
-from .gfpm import Field, FieldElement, enumerate_field, make_field, quadratic_character, trace
+from .gfpm import Field, FieldElement, enumerate_field, make_field, quadratic_character
 from .sweep import SweepSpec, VerificationReport, fiber_check, gauss_check, run_sweep
 
 __version__ = "0.1.0"

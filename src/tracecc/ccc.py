@@ -34,8 +34,9 @@ from .codes import (
     minimum_distance,
     predicted_weight_distribution_lem41,
     predicted_weight_distribution_thm31,
+    second_family_terms,
 )
-from .errors import CompositionLengthMismatch, DegenerateSet, DuplicateWords, UnsupportedDegree
+from .errors import CompositionLengthMismatch, DuplicateWords, UnsupportedDegree
 
 #: largest word count for which the pairwise oracle runs (its match matrix is one row per orbit)
 PAIRWISE_ORACLE_CAP = 5000
@@ -146,7 +147,7 @@ def _constant_composition(words: np.ndarray, p: int) -> tuple:
     return tuple(int(c) for c in first), same
 
 
-def _extract(code: TraceCode, construction: str, pairwise_cap: int) -> CccCode:
+def _extract(code: TraceCode, construction: str) -> CccCode:
     entry = CONSTRUCTIONS[construction]
     ds = code.defining_set
     if ds.kind != entry.defining_set:
@@ -157,7 +158,7 @@ def _extract(code: TraceCode, construction: str, pairwise_cap: int) -> CccCode:
     words = code.matrix[index[np.sort(first)]]
     composition, composition_ok = _constant_composition(words, field.p)
     d_ambient = minimum_distance(code)
-    d_pairwise = pairwise_min_distance(words) if words.shape[0] <= pairwise_cap else None
+    d_pairwise = pairwise_min_distance(words) if words.shape[0] <= PAIRWISE_ORACLE_CAP else None
     return CccCode(
         code,
         construction,
@@ -172,18 +173,16 @@ def _extract(code: TraceCode, construction: str, pairwise_cap: int) -> CccCode:
     )
 
 
-def extract_subcode_first(code: TraceCode, pairwise_cap: int = PAIRWISE_ORACLE_CAP) -> CccCode:
+def extract_subcode_first(code: TraceCode) -> CccCode:
     """Subcode indexed by every a outside the prime subfield; deduplicated."""
-    return _extract(code, "first", pairwise_cap)
+    return _extract(code, "first")
 
 
-def extract_subcode_second(
-    code: TraceCode, which: str, pairwise_cap: int = PAIRWISE_ORACLE_CAP
-) -> CccCode:
+def extract_subcode_second(code: TraceCode, which: str) -> CccCode:
     """Subcode of a C_E code indexed by S = {a : Tr(a**2) != 0} or its complement."""
     if which not in ("S", "complement"):
         raise ValueError("which must be 'S' or 'complement'")
-    return _extract(code, f"second-{which}", pairwise_cap)
+    return _extract(code, f"second-{which}")
 
 
 # -- closed-form parameter predictions ---------------------------------------
@@ -204,12 +203,8 @@ def predicted_ccc_first(p: int, m: int, alpha: int) -> CccParams:
 
 def predicted_ccc_second(p: int, m: int, which: str) -> CccParams:
     """Predicted (n, M, d, omega) of the S or complement subcode (even m)."""
-    tau = quadratic_trace_sign(p, m)
+    tau, half, n = second_family_terms(p, m)
     base = p ** (m - 2)
-    half = p ** (m // 2 - 1)
-    n = p ** (m - 1) - tau * (p - 1) * half - 1
-    if n <= 0:
-        raise DegenerateSet(f"the E construction degenerates for p={p}, m={m}")
     d = (p - 1) * base if tau == -1 else (p - 1) * (base - half)
     if which == "S":
         M = p**m - p ** (m - 1) + tau * (p - 1) * half
@@ -345,9 +340,7 @@ CONSTRUCTIONS = {
 }
 
 
-def build_construction(
-    field, construction: str, alpha=None, pairwise_cap: int = PAIRWISE_ORACLE_CAP
-) -> tuple:
+def build_construction(field, construction: str, alpha=None) -> tuple:
     """The ambient trace code and the subcode of one named construction.
 
     `alpha` picks D(alpha) for the first construction and must be None for
@@ -362,11 +355,11 @@ def build_construction(
         if not 0 <= alpha < field.p:
             raise ValueError(f"alpha {alpha} is not a residue mod {field.p}")
         code = build_trace_code(build_defining_set_D(field, alpha))
-        return code, extract_subcode_first(code, pairwise_cap=pairwise_cap)
+        return code, extract_subcode_first(code)
     if alpha is not None:
         raise ValueError("--alpha applies to the first construction only")
     code = build_trace_code(build_defining_set_E(field))
-    return code, extract_subcode_second(code, entry.which, pairwise_cap=pairwise_cap)
+    return code, extract_subcode_second(code, entry.which)
 
 
 # -- serialization -------------------------------------------------------------

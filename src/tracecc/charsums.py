@@ -1,11 +1,10 @@
 """Character sums over GF(p**m) and their closed forms.
 
-Directly summed quantities (canonical additive character, quadratic Gauss
-sums, completed quadratic sums) are evaluated exactly as integer counts per
-trace residue and only turned into complex numbers at the very end, which
-keeps roundoff far below the comparison tolerance. Closed-form predictions
-compute powers of sqrt(-1) as exact quarter turns so the predictor side
-cannot drift in sign.
+Directly summed quantities (quadratic Gauss sums, completed quadratic sums)
+are evaluated exactly as integer counts per trace residue and only turned
+into complex numbers at the very end, which keeps roundoff far below the
+comparison tolerance. Closed-form predictions compute powers of sqrt(-1) as
+exact quarter turns so the predictor side cannot drift in sign.
 
 Completed quadratic sums run in batches of triples of element indices, by
 table lookups, the trace form and `Field.product_indices`: no scalar trace
@@ -37,18 +36,6 @@ def _zeta_table(p: int) -> np.ndarray:
     table = np.exp(2j * np.pi * np.arange(p) / p)
     table.setflags(write=False)
     return table
-
-
-def _legendre(u: int, p: int) -> int:
-    u %= p
-    if u == 0:
-        return 0
-    return 1 if pow(u, (p - 1) // 2, p) == 1 else -1
-
-
-def additive_character(x: FieldElement) -> complex:
-    """Canonical additive character exp(2*pi*i*Tr(x)/p)."""
-    return complex(_zeta_table(x.field.p)[x.trace()])
 
 
 def quadratic_trace_sign(p: int, m: int) -> int:
@@ -168,8 +155,8 @@ def predicted_square_trace_fiber(p: int, m: int, alpha: int) -> int:
     if m % 2:
         if alpha == 0:
             return p ** (m - 1)
-        sign = quadratic_trace_sign(p, m + 1)
-        return p ** (m - 1) + _legendre(-alpha, p) * sign * p ** ((m - 1) // 2)
+        eta = 1 if pow(-alpha, (p - 1) // 2, p) == 1 else -1  # Euler's criterion for -alpha
+        return p ** (m - 1) + eta * quadratic_trace_sign(p, m + 1) * p ** ((m - 1) // 2)
     tau = quadratic_trace_sign(p, m)
     if alpha == 0:
         return p ** (m - 1) - tau * (p - 1) * p ** ((m - 2) // 2)

@@ -20,27 +20,9 @@ from pathlib import Path
 from . import __version__
 from .ccc import CONSTRUCTIONS, build_construction, ccc_json
 from .codes import trace_code_json, weight_distribution, weight_table_csv
-from .errors import (
-    DegenerateSet,
-    EvenCharacteristic,
-    NotPrime,
-    OddDegree,
-    ReducibleModulus,
-    TraceCCError,
-    UnsupportedDegree,
-)
+from .errors import TraceCCError
 from .gfpm import check_characteristic, make_field
 from .sweep import DEFAULT_Q_CAP, SweepSpec, fiber_check, gauss_check, run_sweep
-
-_PARAMETER_ERRORS = (
-    NotPrime,
-    EvenCharacteristic,
-    ReducibleModulus,
-    OddDegree,
-    DegenerateSet,
-    UnsupportedDegree,
-    ValueError,
-)
 
 EXIT_OK = 0
 EXIT_MISMATCH = 1
@@ -271,7 +253,7 @@ def main(argv=None) -> int:
             raise ValueError(f"cannot write --out {args.out}: a directory, or in a missing one")
         return args.handler(args)
     except (TraceCCError, ValueError) as exc:
-        bad_params = isinstance(exc, _PARAMETER_ERRORS)
+        bad_params = isinstance(exc, ValueError)  # every ParameterError is a ValueError
         print(f"{'error' if bad_params else 'verification failure'}: {exc}", file=sys.stderr)
         if getattr(args, "format", "json") == "json":
             doc = {"error": {"type": type(exc).__name__, "message": str(exc)}}

@@ -199,8 +199,8 @@ def predicted_weight_distribution_thm31(p: int, m: int, alpha: int) -> WeightDis
     return WeightDistribution.from_counts(counts)
 
 
-def predicted_weight_distribution_lem41(p: int, m: int) -> WeightDistribution:
-    """Closed-form two-weight table of the code defined by E (even m)."""
+def second_family_terms(p: int, m: int) -> tuple:
+    """(tau, p^(m/2-1), n) of the E construction's closed forms; refuses an empty E."""
     if m < 2:
         raise UnsupportedDegree("the closed form requires extension degree at least 2")
     tau = quadratic_trace_sign(p, m)
@@ -208,6 +208,12 @@ def predicted_weight_distribution_lem41(p: int, m: int) -> WeightDistribution:
     n = p ** (m - 1) - tau * (p - 1) * half - 1
     if n <= 0:
         raise DegenerateSet(f"the E construction degenerates for p={p}, m={m}")
+    return tau, half, n
+
+
+def predicted_weight_distribution_lem41(p: int, m: int) -> WeightDistribution:
+    """Closed-form two-weight table of the code defined by E (even m)."""
+    tau, half, n = second_family_terms(p, m)
     counts = {0: 1}
     counts[(p - 1) * p ** (m - 2)] = n
     w2 = (p - 1) * (p ** (m - 2) - tau * half)

@@ -5,15 +5,19 @@ class TraceCCError(Exception):
     """Base class for every error raised by this package."""
 
 
-class NotPrime(TraceCCError):
+class ParameterError(TraceCCError, ValueError):
+    """Input the constructions are not defined for; the CLI exits 2 on it, as on any ValueError."""
+
+
+class NotPrime(ParameterError):
     pass
 
 
-class EvenCharacteristic(TraceCCError):
+class EvenCharacteristic(ParameterError):
     pass
 
 
-class ReducibleModulus(TraceCCError):
+class ReducibleModulus(ParameterError):
     pass
 
 
@@ -29,15 +33,15 @@ class ZeroLeadingCoefficient(TraceCCError):
     pass
 
 
-class DegenerateSet(TraceCCError):
+class DegenerateSet(ParameterError):
     pass
 
 
-class OddDegree(TraceCCError):
+class OddDegree(ParameterError):
     pass
 
 
-class UnsupportedDegree(TraceCCError):
+class UnsupportedDegree(ParameterError):
     pass
 
 

@@ -356,11 +356,6 @@ class FieldElement:
         return acc.coeffs[0]
 
 
-def trace(x: FieldElement) -> int:
-    """Trace from GF(p**m) down to GF(p)."""
-    return x.trace()
-
-
 def quadratic_character(x: FieldElement) -> int:
     """0 at zero, +1 on nonzero squares, -1 on nonsquares (Euler's criterion)."""
     if x.is_zero():

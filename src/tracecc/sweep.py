@@ -44,7 +44,6 @@ class SweepSpec:
     q_cap: int = DEFAULT_Q_CAP
     constructions: tuple = tuple(CONSTRUCTIONS)
     alphas: object = "all"  # "all" or an explicit tuple of residues
-    pairwise_cap: int = PAIRWISE_ORACLE_CAP
 
     def to_json_dict(self) -> dict:
         return {
@@ -53,7 +52,7 @@ class SweepSpec:
             "q_cap": self.q_cap,
             "constructions": list(self.constructions),
             "alphas": "all" if self.alphas == "all" else list(self.alphas),
-            "pairwise_cap": self.pairwise_cap,
+            "pairwise_cap": PAIRWISE_ORACLE_CAP,
         }
 
 
@@ -129,11 +128,11 @@ def _wd_rows(wd) -> list:
     return [list(pair) for pair in wd]
 
 
-def _verify(construction: str, field: Field, alpha, pairwise_cap: int) -> InstanceResult:
+def _verify(construction: str, field: Field, alpha) -> InstanceResult:
     """Check one construction's ambient code and subcode against all closed forms."""
     p, m = field.p, field.m
     started = time.perf_counter()
-    code, sub = build_construction(field, construction, alpha, pairwise_cap)
+    code, sub = build_construction(field, construction, alpha)
     entry = CONSTRUCTIONS[construction]
     census = weight_distribution(code)
     predicted_wd = entry.predict_census(p, m, alpha)
@@ -167,22 +166,25 @@ def _verify(construction: str, field: Field, alpha, pairwise_cap: int) -> Instan
     return result.finalize()
 
 
-def verify_first_instance(field: Field, alpha: int, pairwise_cap: int = PAIRWISE_ORACLE_CAP):
+def verify_first_instance(field: Field, alpha: int):
     """Check the D(alpha) code and its subcode against all closed forms."""
-    return _verify("first", field, alpha, pairwise_cap)
+    return _verify("first", field, alpha)
 
 
-def verify_second_instance(field: Field, which: str, pairwise_cap: int = PAIRWISE_ORACLE_CAP):
+def verify_second_instance(field: Field, which: str):
     """Check the E code and one of its two subcodes against all closed forms."""
-    return _verify(f"second-{which}", field, None, pairwise_cap)
+    return _verify(f"second-{which}", field, None)
 
 
 def plan_sweep(spec: SweepSpec) -> list:
     """Ordered (construction, p, m, alpha, skip reason) tuples, "" for an instance that runs.
 
     The whole spec is validated here, so bad input is refused before any
-    instance runs. Repeated primes and alphas run once.
+    instance runs. Repeated primes and alphas run once; a sweep that would
+    check nothing is refused.
     """
+    if not (spec.p_list and spec.constructions):
+        raise ValueError("a sweep needs at least one prime and one construction")
     if spec.m_min < 2:
         raise ValueError("the constructions need extension degree at least 2")
     if spec.m_min > spec.m_max:
@@ -192,8 +194,8 @@ def plan_sweep(spec: SweepSpec) -> list:
             raise ValueError(f"unknown construction {construction!r}")
     alphas = spec.alphas
     if alphas != "all":
-        if not all(isinstance(a, int) and a >= 0 for a in alphas):
-            raise ValueError("alphas must be non-negative integers or 'all'")
+        if not alphas or not all(isinstance(a, int) and a >= 0 for a in alphas):
+            raise ValueError("alphas must be 'all' or one or more non-negative integers")
         alphas = tuple(dict.fromkeys(alphas))
     plan = []
     for p in dict.fromkeys(spec.p_list):
@@ -230,10 +232,10 @@ def run_sweep(spec: SweepSpec) -> VerificationReport:
             field = fields[p, m]
             try:
                 if construction == "first":
-                    record = verify_first_instance(field, alpha, pairwise_cap=spec.pairwise_cap)
+                    record = verify_first_instance(field, alpha)
                 else:
                     which = CONSTRUCTIONS[construction].which
-                    record = verify_second_instance(field, which, pairwise_cap=spec.pairwise_cap)
+                    record = verify_second_instance(field, which)
             except DegenerateSet:
                 reason = "degenerate defining set"
             except TraceCCError as exc:
@@ -250,11 +252,11 @@ def run_sweep(spec: SweepSpec) -> VerificationReport:
 # -- character-sum and fiber checks -------------------------------------------
 
 
-def gauss_check(field: Field, sample_count: int = QUADRATIC_SAMPLE_COUNT, seed=None) -> dict:
+def gauss_check(field: Field, seed=None) -> dict:
     """Compare directly summed Gauss and quadratic sums with their closed forms.
 
     All (a2, a1, a0) triples are checked for q <= EXHAUSTIVE_TRIPLE_LIMIT,
-    otherwise `sample_count` seeded-random triples.
+    otherwise QUADRATIC_SAMPLE_COUNT seeded-random triples.
     """
     p, m, q = field.p, field.m, field.q
 
@@ -278,7 +280,7 @@ def gauss_check(field: Field, sample_count: int = QUADRATIC_SAMPLE_COUNT, seed=N
     else:
         mode = "random"
         rng = random.Random(seed if seed is not None else 10_007 * p + m)
-        drawn = [[rng.randrange(low, q) for low in (1, 0, 0)] for _ in range(sample_count)]
+        drawn = [[rng.randrange(lo, q) for lo in (1, 0, 0)] for _ in range(QUADRATIC_SAMPLE_COUNT)]
         batches = [np.array(drawn, dtype=np.int64).reshape(-1, 3).T]  # a2 drawn nonzero
     count, max_dev = 0, 0.0
     for a2, a1, a0 in batches:  # a running maximum keeps the arrays one batch long

@@ -12,14 +12,17 @@ import numpy as np
 import pytest
 
 from tracecc import (
+    PAIRWISE_ORACLE_CAP,
     CompositionLengthMismatch,
     DegenerateSet,
     DuplicateWords,
     OddDegree,
+    SweepSpec,
     UnsupportedDegree,
     build_defining_set_D,
     build_defining_set_E,
     build_trace_code,
+    ccc,
     enumerate_field,
     extract_subcode_first,
     extract_subcode_second,
@@ -178,9 +181,13 @@ def test_first_subcode_requires_D_code(f9):
         extract_subcode_first(code)
 
 
-def test_pairwise_cap_falls_back_to_ambient():
+def test_pairwise_cap_falls_back_to_ambient(monkeypatch):
+    # the cap is the constant the oracle reads, and the sweep reports that constant
+    assert SweepSpec().to_json_dict()["pairwise_cap"] == PAIRWISE_ORACLE_CAP
     code = build_trace_code(build_defining_set_D(make_field(3, 3), 1))
-    sub = extract_subcode_first(code, pairwise_cap=5)
+    assert extract_subcode_first(code).d_pairwise is not None
+    monkeypatch.setattr(ccc, "PAIRWISE_ORACLE_CAP", 5)
+    sub = extract_subcode_first(code)
     assert sub.d_pairwise is None
     assert sub.d == sub.d_ambient == minimum_distance(code)
 

@@ -4,7 +4,7 @@ import json
 
 import pytest
 
-from tracecc import DuplicateWords, ccc, charsums, cli, sweep
+from tracecc import DuplicateWords, ccc, charsums, cli, errors, sweep
 from tracecc.cli import main
 
 
@@ -236,11 +236,16 @@ def test_verify_sweep_explicit_alphas(tmp_path):
     assert [inst["alpha"] for inst in doc["instances"]] == [0, 2]
 
 
-def test_verify_sweep_empty_spec(tmp_path):
-    code, doc = run_json(tmp_path, "s.json", ["verify-sweep", "--p"])
-    assert code == 0
-    assert doc["instances"] == []
-    assert doc["summary"] == {"pass": 0, "fail": 0, "skip": 0}
+def test_verify_sweep_empty_spec(monkeypatch, capsys):
+    # a sweep that would check nothing is bad input, not a pass
+    def must_not_run(*args, **kwargs):
+        raise AssertionError("an instance ran in an empty sweep")
+
+    monkeypatch.setattr(sweep, "verify_first_instance", must_not_run)
+    monkeypatch.setattr(sweep, "verify_second_instance", must_not_run)
+    for argv in (["--p"], ["--constructions"], ["--alphas", ""]):
+        assert main(["verify-sweep"] + argv) == 2
+        assert json.loads(capsys.readouterr().out)["error"]["type"] == "ValueError"
 
 
 def test_verify_sweep_no_timestamp_is_deterministic(tmp_path):
@@ -471,3 +476,30 @@ def test_field_at_q_cap_boundary_is_built(tmp_path):
     code, doc = run_json(tmp_path, "f.json", ["fibers", "--p", "3", "--m", "10"])
     assert code == 0 and doc["totals"]["linear-trace"] == 59049
     assert main(["fibers", "--p", "3", "--m", "11"]) == 2
+
+
+def test_exactly_the_parameter_errors_exit_2(monkeypatch, capsys):
+    # the one place the exit-code split lives is the ParameterError base class
+    classes = [
+        c for c in vars(errors).values()
+        if isinstance(c, type) and issubclass(c, errors.TraceCCError)
+    ]  # fmt: skip
+    parameter = {c.__name__ for c in classes if issubclass(c, errors.ParameterError)}
+    assert parameter - {"ParameterError"} == {
+        "NotPrime",
+        "EvenCharacteristic",
+        "ReducibleModulus",
+        "OddDegree",
+        "DegenerateSet",
+        "UnsupportedDegree",
+    }
+    for cls in classes:
+        assert issubclass(cls, ValueError) == (cls.__name__ in parameter)
+
+        def failing(field, cls=cls):
+            raise cls("injected")
+
+        monkeypatch.setattr(cli, "fiber_check", failing)
+        expected = 2 if cls.__name__ in parameter else 1
+        assert main(["fibers", "--p", "3", "--m", "2"]) == expected, cls.__name__
+        assert json.loads(capsys.readouterr().out)["error"]["type"] == cls.__name__

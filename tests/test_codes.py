@@ -24,7 +24,6 @@ from tracecc import (
     minimum_distance,
     predicted_weight_distribution_lem41,
     predicted_weight_distribution_thm31,
-    trace,
     weight_distribution,
 )
 from tracecc.codes import trace_code_json, weight_table_csv
@@ -49,7 +48,7 @@ def test_defining_set_sizes_f27(f27):
 
 def test_defining_set_membership_and_order(f27):
     ds = build_defining_set_D(f27, 1)
-    assert all(trace(d) == 1 and not d.is_zero() for d in elements(ds))
+    assert all(d.trace() == 1 and not d.is_zero() for d in elements(ds))
     indices = ds.indices.tolist()
     assert indices == sorted(indices)
     assert len(set(indices)) == len(indices)

@@ -17,3 +17,22 @@ def test_no_verification_rests_on_assert():
         if isinstance(node, ast.Assert)
     ]
     assert found == []
+
+
+def test_every_import_is_used():
+    # no linter runs on this package, so a name left imported after its last use is caught here
+    found = []
+    for path in sorted(PACKAGE.glob("*.py")):
+        if path.name == "__init__.py":  # imports there are the public exports
+            continue
+        tree = ast.parse(path.read_text(), filename=str(path))
+        used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+        found += [
+            f"{path.name}:{node.lineno} {alias.asname or alias.name}"
+            for node in ast.walk(tree)
+            if isinstance(node, (ast.Import, ast.ImportFrom))
+            and getattr(node, "module", None) != "__future__"
+            for alias in node.names
+            if (alias.asname or alias.name).split(".")[0] not in used
+        ]
+    assert found == []

@@ -28,6 +28,10 @@ def test_each_field_is_built_once(monkeypatch):
         (SweepSpec(m_min=1, m_max=2), ValueError),
         (SweepSpec(p_list=(3, 9), m_min=2, m_max=2), NotPrime),
         (SweepSpec(p_list=(3,), m_min=2, m_max=2, constructions=("frist",)), ValueError),
+        # a sweep that would check nothing
+        (SweepSpec(p_list=()), ValueError),
+        (SweepSpec(constructions=()), ValueError),
+        (SweepSpec(alphas=(), constructions=("first",)), ValueError),
     ],
 )
 def test_bad_spec_is_refused_before_any_instance(monkeypatch, spec, error):

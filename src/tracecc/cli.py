@@ -2,7 +2,8 @@
 
 Commands: build, verify-sweep, gauss-check, fibers. JSON is the machine
 interface (written to --out, or to stdout when --out is omitted); CSV is
-available for weight and fiber tables only. Exit codes: 0 all checks pass,
+available for weight and fiber tables only. Human-readable lines go to stdout
+with --out and to stderr without it. Exit codes: 0 all checks pass,
 1 verification mismatch, 2 invalid parameters.
 
 Reports are byte-identical across identical invocations once the volatile
@@ -22,7 +23,7 @@ from .ccc import CONSTRUCTIONS, build_construction, ccc_json
 from .codes import trace_code_json, weight_distribution, weight_table_csv
 from .errors import TraceCCError
 from .gfpm import check_characteristic, make_field
-from .sweep import DEFAULT_Q_CAP, SweepSpec, fiber_check, gauss_check, run_sweep
+from .sweep import DEFAULT_Q_CAP, SweepSpec, exceeds_q_cap, fiber_check, gauss_check, run_sweep
 
 EXIT_OK = 0
 EXIT_MISMATCH = 1
@@ -41,45 +42,24 @@ def _parse_modulus(text):
 def _field(args):
     """The field of a single-field command, refused above DEFAULT_Q_CAP before any table exists."""
     check_characteristic(args.p)
-    # p >= 3 > 2, so p**m is over the cap once m reaches the cap's bit length
-    if args.m > 0 and args.p ** min(args.m, DEFAULT_Q_CAP.bit_length()) > DEFAULT_Q_CAP:
+    if exceeds_q_cap(args.p, args.m, DEFAULT_Q_CAP):
         raise ValueError(f"GF({args.p}^{args.m}) has more than {DEFAULT_Q_CAP} elements")
     return make_field(args.p, args.m, _parse_modulus(args.modulus))
 
 
-def _emit(doc: dict, args, human_lines=None) -> None:
-    """Write the JSON document to --out or stdout; human lines go wherever is free."""
-    _write_text(json.dumps(doc, indent=2) + "\n", args)
-    for line in human_lines or []:
-        print(line, file=sys.stdout if args.out else sys.stderr)
-
-
-def _stamp(doc: dict, args) -> dict:
-    if not args.no_timestamp:
-        doc["generated_at"] = datetime.now(timezone.utc).isoformat(timespec="seconds")
-    return doc
-
-
-def _write_text(text: str, args) -> None:
-    if args.out:
-        Path(args.out).write_text(text)
-    else:
-        sys.stdout.write(text)
-
-
-def _cmd_build(args) -> int:
+# Each handler returns (JSON document, human lines, ok), or (CSV text, None, ok) with
+# --format csv; main stamps and writes the report, routes the lines and sets the exit code.
+def _cmd_build(args):
     field = _field(args)
     code, sub = build_construction(field, args.construction, args.alpha)
     checks = sub.checks()
     ok = all(v is not False for v in checks.values())
     if args.format == "csv":
-        _write_text(weight_table_csv(weight_distribution(code)), args)
-        return EXIT_OK if ok else EXIT_MISMATCH
-
-    doc = {"command": "build"}
-    _stamp(doc, args)
-    doc["code"] = trace_code_json(code, emit_codewords=args.emit_codewords)
-    doc["ccc"] = ccc_json(sub, emit_codewords=args.emit_codewords)
+        return weight_table_csv(weight_distribution(code)), None, ok
+    doc = {
+        "code": trace_code_json(code, emit_codewords=args.emit_codewords),
+        "ccc": ccc_json(sub, emit_codewords=args.emit_codewords),
+    }
     report = sub.lfvc()
     lines = [
         f"construction   {sub.construction}"
@@ -93,13 +73,10 @@ def _cmd_build(args) -> int:
         + f" verdict={report.verdict}",
     ]
     lines.append(f"checks         {'all ok' if ok else 'FAILED: ' + str(checks)}")
-    _emit(doc, args, lines)
-    return EXIT_OK if ok else EXIT_MISMATCH
+    return doc, lines, ok
 
 
-def _cmd_verify_sweep(args) -> int:
-    if args.format == "csv":
-        raise ValueError("verify-sweep reports are JSON only")
+def _cmd_verify_sweep(args):
     alphas = "all"
     if args.alphas != "all":
         alphas = tuple(int(part) for part in args.alphas.split(","))
@@ -125,21 +102,12 @@ def _cmd_verify_sweep(args) -> int:
     lines.append(
         f"summary: pass={summary['pass']} fail={summary['fail']} skip={summary['skip']}"
     )
-    doc = {"command": "verify-sweep"}
-    _stamp(doc, args)
-    doc.update(report.to_json_dict(include_timing=not args.no_timestamp))
-    _emit(doc, args, lines)
-    return EXIT_OK if report.ok else EXIT_MISMATCH
+    return report.to_json_dict(include_timing=not args.no_timestamp), lines, report.ok
 
 
-def _cmd_gauss_check(args) -> int:
-    if args.format == "csv":
-        raise ValueError("gauss-check reports are JSON only")
+def _cmd_gauss_check(args):
     field = _field(args)
     result = gauss_check(field)
-    doc = {"command": "gauss-check"}
-    _stamp(doc, args)
-    doc.update(result)
     lines = [
         f"G over {field!r}: deviation {result['gauss_fq']['deviation']:.3e}",
         f"G over GF({field.p}): deviation {result['gauss_fp']['deviation']:.3e}",
@@ -147,30 +115,24 @@ def _cmd_gauss_check(args) -> int:
         f" max deviation {result['quadratic']['max_deviation']:.3e}",
         "all within tolerance" if result["ok"] else "TOLERANCE EXCEEDED",
     ]
-    _emit(doc, args, lines)
-    return EXIT_OK if result["ok"] else EXIT_MISMATCH
+    return result, lines, result["ok"]
 
 
-def _cmd_fibers(args) -> int:
+def _cmd_fibers(args):
     field = _field(args)
     result = fiber_check(field)
     if args.format == "csv":
         lines = ["kind,alpha,enumerated,predicted"]
         for row in result["rows"]:
             lines.append(f"{row['kind']},{row['alpha']},{row['enumerated']},{row['predicted']}")
-        _write_text("\n".join(lines) + "\n", args)
-        return EXIT_OK if result["ok"] else EXIT_MISMATCH
-    doc = {"command": "fibers"}
-    _stamp(doc, args)
-    doc.update(result)
+        return "\n".join(lines) + "\n", None, result["ok"]
     lines = [
         f"{row['kind']:<16} alpha={row['alpha']}  enumerated={row['enumerated']}"
         f"  predicted={row['predicted']}"
         for row in result["rows"]
     ]
     lines.append("all counts match" if result["ok"] else "COUNT MISMATCH")
-    _emit(doc, args, lines)
-    return EXIT_OK if result["ok"] else EXIT_MISMATCH
+    return result, lines, result["ok"]
 
 
 def _add_common(parser, with_modulus=True):
@@ -251,14 +213,28 @@ def main(argv=None) -> int:
     try:
         if args.out and (Path(args.out).is_dir() or not Path(args.out).parent.is_dir()):
             raise ValueError(f"cannot write --out {args.out}: a directory, or in a missing one")
-        return args.handler(args)
+        if args.format == "csv" and args.command in ("verify-sweep", "gauss-check"):
+            raise ValueError(f"{args.command} reports are JSON only")
+        report, lines, ok = args.handler(args)
     except (TraceCCError, ValueError) as exc:
         bad_params = isinstance(exc, ValueError)  # every ParameterError is a ValueError
         print(f"{'error' if bad_params else 'verification failure'}: {exc}", file=sys.stderr)
-        if getattr(args, "format", "json") == "json":
+        if args.format == "json":
             doc = {"error": {"type": type(exc).__name__, "message": str(exc)}}
             sys.stdout.write(json.dumps(doc, indent=2) + "\n")
         return EXIT_BAD_PARAMS if bad_params else EXIT_MISMATCH
+    if args.format == "json":
+        stamp = {"command": args.command}
+        if not args.no_timestamp:
+            stamp["generated_at"] = datetime.now(timezone.utc).isoformat(timespec="seconds")
+        report = json.dumps({**stamp, **report}, indent=2) + "\n"
+    if args.out:
+        Path(args.out).write_text(report)
+    else:
+        sys.stdout.write(report)
+    for line in lines or ():
+        print(line, file=sys.stdout if args.out else sys.stderr)
+    return EXIT_OK if ok else EXIT_MISMATCH
 
 
 if __name__ == "__main__":

@@ -176,6 +176,12 @@ def verify_second_instance(field: Field, which: str):
     return _verify(f"second-{which}", field, None)
 
 
+def exceeds_q_cap(p: int, m: int, q_cap: int) -> bool:
+    """Whether p**m > q_cap, for a prime p, without raising p to a huge m."""
+    # 2**m > q_cap once m reaches the cap's bit length, and p >= 2
+    return p ** min(m, q_cap.bit_length()) > q_cap
+
+
 def plan_sweep(spec: SweepSpec) -> list:
     """Ordered (construction, p, m, alpha, skip reason) tuples, "" for an instance that runs.
 
@@ -201,7 +207,7 @@ def plan_sweep(spec: SweepSpec) -> list:
     for p in dict.fromkeys(spec.p_list):
         check_characteristic(p)
         for m in range(spec.m_min, spec.m_max + 1):
-            over_cap = "exceeds q-cap" if p**m > spec.q_cap else ""
+            over_cap = "exceeds q-cap" if exceeds_q_cap(p, m, spec.q_cap) else ""
             for construction in CONSTRUCTIONS:
                 if construction not in spec.constructions:
                     continue
@@ -213,6 +219,8 @@ def plan_sweep(spec: SweepSpec) -> list:
                     if alpha >= p:
                         raise ValueError(f"alpha {alpha} is not a residue mod {p}")
                     plan.append((construction, p, m, alpha, over_cap))
+    if all(skip for *_, skip in plan):
+        raise ValueError("every planned instance is skipped, so the sweep would check nothing")
     return plan
 
 

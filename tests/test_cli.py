@@ -1,6 +1,8 @@
 """Command line interface: reports, formats, determinism, exit codes."""
 
 import json
+import re
+from datetime import datetime
 
 import pytest
 
@@ -243,7 +245,13 @@ def test_verify_sweep_empty_spec(monkeypatch, capsys):
 
     monkeypatch.setattr(sweep, "verify_first_instance", must_not_run)
     monkeypatch.setattr(sweep, "verify_second_instance", must_not_run)
-    for argv in (["--p"], ["--constructions"], ["--alphas", ""]):
+    for argv in (
+        ["--p"],
+        ["--constructions"],
+        ["--alphas", ""],
+        ["--p", "3", "--m", "2", "2", "--q-cap", "1"],  # every instance over the cap
+        ["--p", "3", "--m", "3", "3", "--constructions", "second-S"],  # every degree odd
+    ):
         assert main(["verify-sweep"] + argv) == 2
         assert json.loads(capsys.readouterr().out)["error"]["type"] == "ValueError"
 
@@ -264,8 +272,21 @@ def test_gauss_check_sampling_is_deterministic(tmp_path):
     assert out1.read_bytes() == out2.read_bytes()
 
 
-def test_verify_sweep_rejects_csv():
-    assert main(["verify-sweep", "--p", "3", "--m", "2", "2", "--format", "csv"]) == 2
+@pytest.mark.parametrize(
+    "argv",
+    [["verify-sweep", "--p", "3", "--m", "2", "2"], ["gauss-check", "--p", "3", "--m", "2"]],
+    ids=["verify-sweep", "gauss-check"],
+)
+def test_json_only_commands_refuse_csv_before_running(tmp_path, monkeypatch, capsys, argv):
+    def must_not_run(*args, **kwargs):
+        raise AssertionError("the command ran although its format is refused")
+
+    monkeypatch.setattr(cli, "make_field", must_not_run)
+    monkeypatch.setattr(cli, "run_sweep", must_not_run)
+    out = tmp_path / "r.csv"
+    assert main([*argv, "--format", "csv", "--out", str(out)]) == 2
+    assert capsys.readouterr().err == f"error: {argv[0]} reports are JSON only\n"
+    assert not out.exists()
 
 
 def test_verify_sweep_rejects_reversed_m_range(capsys):
@@ -503,3 +524,36 @@ def test_exactly_the_parameter_errors_exit_2(monkeypatch, capsys):
         expected = 2 if cls.__name__ in parameter else 1
         assert main(["fibers", "--p", "3", "--m", "2"]) == expected, cls.__name__
         assert json.loads(capsys.readouterr().out)["error"]["type"] == cls.__name__
+
+
+# -- the one output path: main stamps, writes and routes every report --------------------
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["build", "--p", "3", "--m", "2", "--construction", "first", "--alpha", "1"],
+        ["verify-sweep", "--p", "3", "--m", "2", "2", "--constructions", "first"],
+        ["gauss-check", "--p", "3", "--m", "2"],
+        ["fibers", "--p", "3", "--m", "2"],
+    ],
+    ids=["build", "verify-sweep", "gauss-check", "fibers"],
+)
+def test_every_report_is_stamped_and_human_lines_go_where_the_report_does_not(
+    tmp_path, capsys, argv
+):
+    def untimed(text):  # the sweep's per-instance timings differ between runs
+        return re.sub(r"\(\d+\.\d+s\)", "", text)
+
+    out = tmp_path / "r.json"
+    assert main([*argv, "--out", str(out)]) == 0
+    doc = json.loads(out.read_text())
+    assert list(doc)[:2] == ["command", "generated_at"] and doc["command"] == argv[0]
+    datetime.fromisoformat(doc["generated_at"])
+    with_out = capsys.readouterr()
+    assert with_out.out and with_out.err == ""
+
+    assert main(argv) == 0
+    without_out = capsys.readouterr()
+    assert list(json.loads(without_out.out))[:2] == ["command", "generated_at"]
+    assert untimed(without_out.err) == untimed(with_out.out)

@@ -36,3 +36,24 @@ def test_every_import_is_used():
             if (alias.asname or alias.name).split(".")[0] not in used
         ]
     assert found == []
+
+
+def test_only_cli_main_writes_to_the_terminal():
+    # one output path: handlers return their reports and cli.main writes them
+    found = []
+    for path in sorted(PACKAGE.glob("*.py")):
+        for top in ast.parse(path.read_text(), filename=str(path)).body:
+            owner = f"{path.stem}.{getattr(top, 'name', '<module>')}"
+            found += [
+                f"{path.name}:{node.lineno} in {owner}"
+                for node in ast.walk(top)
+                if (isinstance(node, ast.Name) and node.id == "print")
+                or (
+                    isinstance(node, ast.Attribute)
+                    and node.attr in ("stdout", "stderr")
+                    and isinstance(node.value, ast.Name)
+                    and node.value.id == "sys"
+                )
+                if owner != "cli.main"
+            ]
+    assert found == []

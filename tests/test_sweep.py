@@ -32,6 +32,9 @@ def test_each_field_is_built_once(monkeypatch):
         (SweepSpec(p_list=()), ValueError),
         (SweepSpec(constructions=()), ValueError),
         (SweepSpec(alphas=(), constructions=("first",)), ValueError),
+        # a sweep whose every planned instance is skipped
+        (SweepSpec(p_list=(3,), m_min=2, m_max=2, q_cap=1), ValueError),
+        (SweepSpec(p_list=(3,), m_min=3, m_max=3, constructions=("second-S",)), ValueError),
     ],
 )
 def test_bad_spec_is_refused_before_any_instance(monkeypatch, spec, error):
@@ -42,6 +45,14 @@ def test_bad_spec_is_refused_before_any_instance(monkeypatch, spec, error):
     monkeypatch.setattr(sweep, "verify_second_instance", must_not_run)
     with pytest.raises(error):
         run_sweep(spec)
+
+
+@pytest.mark.parametrize("p", [3, 5, 7, 127])
+def test_exceeds_q_cap_is_p_to_the_m_over_the_cap(p):
+    for q_cap in (0, 1, 10, 10**5, 10**30):
+        assert [sweep.exceeds_q_cap(p, m, q_cap) for m in range(41)] == [
+            p**m > q_cap for m in range(41)
+        ]
 
 
 def test_repeated_prime_runs_once():

@@ -1,7 +1,8 @@
 """Constant composition subcodes of the ambient trace codes.
 
 A subcode is the ambient code's distinct words whose class ids occur over
-the index set, in order of first occurrence there. Extraction keeps two
+the index set, in order of first occurrence there; its composition is a
+lookup of those ids in the ambient code's symbol counts. Extraction keeps two
 independent routes to the minimum distance: the pairwise census (the oracle)
 and the ambient minimum weight (the shortcut justified by the difference
 argument). Both are stored so reports can compare them. The oracle compares
@@ -34,13 +35,13 @@ from .codes import (
     minimum_distance,
     predicted_weight_distribution_lem41,
     predicted_weight_distribution_thm31,
+    row_classes,
     second_family_terms,
 )
 from .errors import CompositionLengthMismatch, DuplicateWords, UnsupportedDegree
 
 #: largest word count for which the pairwise oracle runs (its match matrix is one row per orbit)
 PAIRWISE_ORACLE_CAP = 5000
-COMPOSITION_BLOCK = 256  # rows counted by one bincount in the composition check
 
 
 def pairwise_min_distance(words) -> int:
@@ -54,14 +55,14 @@ def pairwise_min_distance(words) -> int:
     if w.ndim != 2 or w.shape[0] < 2:
         raise ValueError("need a 2-d array of at least two words")
     m_words, n = w.shape
-    table = {row.tobytes(): i for i, row in enumerate(w)}
-    if len(table) != m_words:
-        raise DuplicateWords("two identical words found (distance 0)")
-    p = int(w.max()) + 1 if w.min() >= 0 else 0  # a negative symbol would wrap in a table
+    p = int(w.max(initial=0)) + 1 if w.min(initial=0) >= 0 else 0  # a negative symbol would wrap
     lam = next((g for g in range(2, p) if len({pow(g, k, p) for k in range(1, p)}) == p - 1), 1)
     maps = [(np.arange(p) + 1) % p, lam * np.arange(p) % p] if p else []  # tables over 0..p-1
-    images = ([table.get(row.tobytes()) for row in lut.astype(np.int8)[w]] for lut in maps)
-    perms = [np.array(image) for image in images if None not in image]  # the maps that keep W
+    images = [row for lut in maps for row in lut.astype(np.int8)[w]]
+    ids = row_classes([*w, *images]).reshape(-1, m_words)  # words first, so distinct ones get 0..M-1
+    if not np.array_equal(ids[0], np.arange(m_words)):
+        raise DuplicateWords("two identical words found (distance 0)")
+    perms = [image for image in ids[1:] if image.max() < m_words]  # the maps that keep W
     label, previous = np.arange(m_words), None  # ends as the least index in each orbit
     while not np.array_equal(label, previous):
         previous, label = label, np.minimum.reduce([label] + [label[perm] for perm in perms])
@@ -134,19 +135,6 @@ class CccCode:
         )
 
 
-def _constant_composition(words: np.ndarray, p: int) -> tuple:
-    """Composition of word 0, and whether every word shares it (row r's bins offset by r*p)."""
-    if words.size and not 0 <= words.min() <= words.max() < p:
-        raise ValueError(f"a symbol lies outside 0..{p - 1}")
-    first = np.bincount(words[0], minlength=p)
-    same = True
-    for block in np.split(words, range(COMPOSITION_BLOCK, len(words), COMPOSITION_BLOCK)):
-        offset = block + p * np.arange(len(block))[:, None]
-        counts = np.bincount(offset.ravel(), minlength=p * len(block))
-        same = same and bool((counts.reshape(-1, p) == first).all())
-    return tuple(int(c) for c in first), same
-
-
 def _extract(code: TraceCode, construction: str) -> CccCode:
     entry = CONSTRUCTIONS[construction]
     ds = code.defining_set
@@ -154,9 +142,10 @@ def _extract(code: TraceCode, construction: str) -> CccCode:
         raise ValueError(f"{construction} subcodes come from a {entry.defining_set} code")
     field = code.field
     index = np.flatnonzero(entry.index_mask(field))
-    first = np.unique(code.classes[index], return_index=True)[1]
+    ids, first = np.unique(code.classes[index], return_index=True)
     words = code.matrix[index[np.sort(first)]]
-    composition, composition_ok = _constant_composition(words, field.p)
+    composition = tuple(int(c) for c in code.counts[code.classes[index[0]]])  # of word 0
+    composition_ok = bool((code.counts == composition).all(axis=1)[ids].all())
     d_ambient = minimum_distance(code)
     d_pairwise = pairwise_min_distance(words) if words.shape[0] <= PAIRWISE_ORACLE_CAP else None
     return CccCode(

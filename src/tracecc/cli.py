@@ -98,10 +98,7 @@ def _cmd_verify_sweep(args):
         else:
             failed = [k for k, v in inst.checks.items() if v is False]
             lines.append(f"FAIL  {inst.label()}  {inst.reason or failed}")
-    summary = report.summary()
-    lines.append(
-        f"summary: pass={summary['pass']} fail={summary['fail']} skip={summary['skip']}"
-    )
+    lines.append("summary: " + " ".join(f"{k}={v}" for k, v in report.summary().items()))
     return report.to_json_dict(include_timing=not args.no_timestamp), lines, report.ok
 
 

@@ -3,9 +3,10 @@
 A trace code is the linear code whose codeword for each index element a is
 (Tr(a*d1), ..., Tr(a*dn)) with the d's running over a defining set in
 canonical field order. Its rows are hashed once, into the class ids that
-its distinct words and every subcode are read from. The weight census is an
-exhaustive count over the distinct codewords; it shares no logic with the
-closed-form predictors it is checked against.
+its distinct words and every subcode are read from, and each distinct word's
+symbols are counted once, into the table that its weight (n minus its count
+of 0) and every subcode's composition are read from. The exhaustive weight
+census shares no logic with the closed-form predictors it is checked against.
 """
 
 from __future__ import annotations
@@ -25,6 +26,8 @@ from .errors import (
     ZeroCode,
 )
 from .gfpm import Field, FieldElement
+
+COUNT_BLOCK = 256  # rows counted by one bincount in symbol_counts
 
 
 @dataclass(frozen=True)
@@ -107,7 +110,8 @@ class TraceCode:
         self.matrix = matrix
         self.classes = classes
         self.first = first
-        self.weights = np.count_nonzero(matrix, axis=1)[first]  # of each distinct word
+        self.counts = symbol_counts(matrix, first, self.field.p)  # [k, s]: s symbols in class k
+        self.weights = self.length - self.counts[:, 0]  # of each distinct word
         self.dimension = dimension
 
     @property
@@ -134,13 +138,24 @@ class TraceCode:
         )
 
 
-def row_classes(matrix: np.ndarray) -> np.ndarray:
+def row_classes(rows) -> np.ndarray:
     """Class id of each row: equal rows share one, numbered in order of first occurrence."""
     seen = {}
-    classes = np.empty(len(matrix), dtype=np.int64)
-    for i, row in enumerate(matrix):
-        classes[i] = seen.setdefault(row.tobytes(), len(seen))
-    return classes
+    ids = (seen.setdefault(row.tobytes(), len(seen)) for row in rows)
+    return np.fromiter(ids, np.int64, count=len(rows))  # allocated before the first key is kept
+
+
+def symbol_counts(matrix: np.ndarray, rows, p: int) -> np.ndarray:
+    """Count of each symbol 0..p-1 in each listed row, COUNT_BLOCK rows per bincount."""
+    counts = np.empty((len(rows), p), dtype=np.min_scalar_type(matrix.shape[1]))
+    offsets = p * np.arange(COUNT_BLOCK)[:, None]  # row r of a block counts into bins r*p + s
+    for start in range(0, len(rows), COUNT_BLOCK):
+        block = matrix[rows[start : start + COUNT_BLOCK]]
+        if block.size and not 0 <= block.min() <= block.max() < p:
+            raise ValueError(f"a symbol lies outside 0..{p - 1}")
+        out = counts[start : start + len(block)]
+        out.flat = np.bincount((block + offsets[: len(block)]).ravel(), minlength=out.size)
+    return counts
 
 
 def build_trace_code(ds: DefiningSet) -> TraceCode:
@@ -173,8 +188,7 @@ def build_trace_code(ds: DefiningSet) -> TraceCode:
 
 def weight_distribution(code: TraceCode) -> WeightDistribution:
     """Exhaustive weight census over the distinct codewords."""
-    freq = np.bincount(code.weights, minlength=code.length + 1)
-    return WeightDistribution.from_counts({w: int(c) for w, c in enumerate(freq) if c})
+    return WeightDistribution.from_counts(dict(enumerate(np.bincount(code.weights))))
 
 
 def minimum_distance(code: TraceCode) -> int:

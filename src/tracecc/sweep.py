@@ -79,11 +79,7 @@ class InstanceResult:
         return f"{self.construction} p={self.p} m={self.m}{extra}"
 
     def to_json_dict(self, include_timing: bool = True) -> dict:
-        doc = {
-            "construction": self.construction,
-            "p": self.p,
-            "m": self.m,
-        }
+        doc = {"construction": self.construction, "p": self.p, "m": self.m}
         if self.alpha is not None:
             doc["alpha"] = self.alpha
         if self.tau is not None:
@@ -195,6 +191,8 @@ def plan_sweep(spec: SweepSpec) -> list:
         raise ValueError("the constructions need extension degree at least 2")
     if spec.m_min > spec.m_max:
         raise ValueError(f"extension degree range {spec.m_min}..{spec.m_max} is empty")
+    if spec.m_max > spec.q_cap.bit_length():  # 2**m_max > q_cap; refused before a skip per degree
+        raise ValueError(f"every field of degree {spec.m_max} exceeds the q-cap {spec.q_cap}")
     for construction in spec.constructions:
         if construction not in CONSTRUCTIONS:
             raise ValueError(f"unknown construction {construction!r}")
@@ -242,8 +240,7 @@ def run_sweep(spec: SweepSpec) -> VerificationReport:
                 if construction == "first":
                     record = verify_first_instance(field, alpha)
                 else:
-                    which = CONSTRUCTIONS[construction].which
-                    record = verify_second_instance(field, which)
+                    record = verify_second_instance(field, CONSTRUCTIONS[construction].which)
             except DegenerateSet:
                 reason = "degenerate defining set"
             except TraceCCError as exc:

@@ -33,13 +33,8 @@ from tracecc import (
     predicted_ccc_first,
     predicted_ccc_second,
 )
-from tracecc.ccc import (
-    COMPOSITION_BLOCK,
-    CONSTRUCTIONS,
-    _constant_composition,
-    build_construction,
-    ccc_json,
-)
+from tracecc.ccc import CONSTRUCTIONS, build_construction, ccc_json
+from tracecc.codes import COUNT_BLOCK, symbol_counts
 
 
 def naive_pairwise_min(words):
@@ -64,22 +59,32 @@ def second_subcode(p, m, which):
 # -- composition vectors -----------------------------------------------------------
 
 
+def counts_of(words, p):
+    """symbol_counts over every row of words, as nested lists."""
+    return symbol_counts(words, np.arange(len(words)), p).tolist()
+
+
 def test_composition_of_zero_word():
-    assert _constant_composition(np.zeros((1, 6), dtype=np.int8), 3) == ((6, 0, 0), True)
+    assert counts_of(np.zeros((1, 6), dtype=np.int8), 3) == [[6, 0, 0]]
+    # the table takes the smallest unsigned type that holds the length
+    assert symbol_counts(np.zeros((1, 255), dtype=np.int8), [0], 3).dtype == np.uint8
+    assert symbol_counts(np.zeros((1, 256), dtype=np.int8), [0], 3).tolist() == [[256, 0, 0]]
 
 
 def test_composition_simple_word():
-    assert _constant_composition(np.array([[1, 2, 0, 1]], dtype=np.int8), 3) == ((1, 2, 1), True)
+    assert counts_of(np.array([[1, 2, 0, 1]], dtype=np.int8), 3) == [[1, 2, 1]]
 
 
-@pytest.mark.parametrize("bad_row", [COMPOSITION_BLOCK - 1, COMPOSITION_BLOCK])
+@pytest.mark.parametrize("bad_row", [COUNT_BLOCK - 1, COUNT_BLOCK])
 def test_composition_violation_at_block_boundary(bad_row):
     # every row a cyclic shift of one word, and M not a multiple of the block size
     base = np.array([0, 0, 1, 1, 2, 2], dtype=np.int8)
-    words = np.stack([np.roll(base, r) for r in range(2 * COMPOSITION_BLOCK + 88)])
-    assert _constant_composition(words, 3) == ((2, 2, 2), True)
+    words = np.stack([np.roll(base, r) for r in range(2 * COUNT_BLOCK + 88)])
+    assert counts_of(words, 3) == [[2, 2, 2]] * len(words)
     words[bad_row, 0] = (words[bad_row, 0] + 1) % 3
-    assert _constant_composition(words, 3) == ((2, 2, 2), False)
+    counts = counts_of(words, 3)
+    assert counts == [np.bincount(w, minlength=3).tolist() for w in words]
+    assert [r for r, row in enumerate(counts) if row != [2, 2, 2]] == [bad_row]
 
 
 @pytest.mark.parametrize("symbol", [3, -1])
@@ -87,7 +92,30 @@ def test_composition_refuses_foreign_symbol(symbol):
     words = np.array([[0, 1, 2], [2, 1, 0]], dtype=np.int8)
     words[1, 1] = symbol
     with pytest.raises(ValueError):
-        _constant_composition(words, 3)
+        counts_of(words, 3)
+
+
+@pytest.mark.parametrize("p,m,construction,alpha", [(3, 3, "first", 1), (3, 4, "second-S", None)])
+def test_one_perturbed_count_fails_the_composition_check(p, m, construction, alpha):
+    code, sub = build_construction(make_field(p, m), construction, alpha)
+    assert sub.composition_ok
+    index = np.flatnonzero(CONSTRUCTIONS[construction].index_mask(code.field))
+    word0, subcode_classes = code.classes[index[0]], set(code.classes[index].tolist())
+    outside = next(k for k in range(code.distinct_count) if k not in subcode_classes)
+    code.counts[outside] = [code.length] + [0] * (p - 1)  # a class outside the subcode is not read
+    again = ccc._extract(code, construction)
+    assert again.composition_ok and again.composition == sub.composition
+    other = code.classes[index[-1]]  # a subcode word other than word 0
+    assert other != word0
+    code.counts[other, 0] += 1
+    again = ccc._extract(code, construction)
+    assert again.composition_ok is False
+    assert again.composition == sub.composition
+    code.counts[other, 0] -= 1
+    code.counts[word0, 0] += 1  # the reported composition is word 0's
+    again = ccc._extract(code, construction)
+    assert again.composition_ok is False
+    assert again.composition == (sub.composition[0] + 1,) + sub.composition[1:]
 
 
 # -- pairwise distance oracle ---------------------------------------------------------
@@ -112,6 +140,30 @@ def test_pairwise_detects_duplicates():
 def test_pairwise_needs_two_words():
     with pytest.raises(ValueError):
         pairwise_min_distance([[0, 1, 2]])
+
+
+def test_pairwise_detects_duplicate_empty_words():
+    # two words of length 0 are equal, and that is found before any symbol is read
+    with pytest.raises(DuplicateWords):
+        pairwise_min_distance(np.zeros((2, 0), dtype=np.int8))
+
+
+def test_pairwise_oracle_drops_a_map_with_one_image_outside_the_words():
+    # scaling by 2 swaps 11 and 22; the shift sends 11 to 22 but 22 to 00
+    assert pairwise_min_distance([[1, 1], [2, 2]]) == 2
+
+
+def test_pairwise_oracle_with_the_shift_alone():
+    import random
+
+    rng = random.Random(5)
+    bases = [[rng.randrange(5) for _ in range(7)] for _ in range(4)]
+    words = [[(s + c) % 5 for s in base] for base in bases for c in range(5)]
+    rows = {tuple(w) for w in words}
+    assert len(rows) == len(words)
+    assert all(tuple((s + 1) % 5 for s in w) in rows for w in words)  # closed under the shift
+    assert any(tuple(2 * s % 5 for s in w) not in rows for w in words)  # but not under scaling
+    assert pairwise_min_distance(words) == naive_pairwise_min(words)
 
 
 def test_pairwise_oracle_drops_maps_that_do_not_keep_the_words():
@@ -430,8 +482,9 @@ def test_bound_checks_can_fail(construction, m, alpha, check, corrupt):
 
 def test_constant_composition_guard():
     words = np.array([[0, 1, 2], [0, 0, 1]], dtype=np.int8)
-    assert _constant_composition(words, 3) == ((1, 1, 1), False)
-    assert _constant_composition(words[:1], 3) == ((1, 1, 1), True)
+    assert counts_of(words, 3) == [[1, 1, 1], [2, 1, 0]]
+    assert counts_of(words[:1], 3) == [[1, 1, 1]]
+    assert symbol_counts(words, [1], 3).tolist() == [[2, 1, 0]]  # only the listed rows
 
 
 def test_ccc_json_shape():

@@ -6,7 +6,7 @@ from datetime import datetime
 
 import pytest
 
-from tracecc import DuplicateWords, ccc, charsums, cli, errors, sweep
+from tracecc import DuplicateWords, ccc, charsums, cli, codes, errors, sweep
 from tracecc.cli import main
 
 
@@ -256,6 +256,18 @@ def test_verify_sweep_empty_spec(monkeypatch, capsys):
         assert json.loads(capsys.readouterr().out)["error"]["type"] == "ValueError"
 
 
+def test_verify_sweep_degree_past_the_q_cap_is_refused(monkeypatch, capsys):
+    # 2**18 > 100,000, so every field of degree 18 exceeds the default cap
+    def must_not_run(*args, **kwargs):
+        raise AssertionError("an instance ran in a sweep past the q-cap")
+
+    monkeypatch.setattr(sweep, "verify_first_instance", must_not_run)
+    monkeypatch.setattr(sweep, "verify_second_instance", must_not_run)
+    assert main(["verify-sweep", "--m", "2", "18"]) == 2
+    error = json.loads(capsys.readouterr().out)["error"]
+    assert error["type"] == "ValueError" and "q-cap" in error["message"]
+
+
 def test_verify_sweep_no_timestamp_is_deterministic(tmp_path):
     argv = ["verify-sweep", "--p", "3", "--m", "2", "2", "--no-timestamp"]
     out1, out2 = tmp_path / "r1.json", tmp_path / "r2.json"
@@ -417,10 +429,14 @@ def test_fibers_wrong_prediction_exits_1(tmp_path, monkeypatch, fmt):
 
 @pytest.mark.parametrize("fmt", ["json", "csv"])
 def test_build_composition_violation_exits_1(tmp_path, monkeypatch, fmt):
-    composition = ccc._constant_composition
-    monkeypatch.setattr(
-        ccc, "_constant_composition", lambda words, p: (composition(words, p)[0], False)
-    )
+    count = codes.symbol_counts
+
+    def perturbed(matrix, rows, p):  # the last distinct word, not word 0, gets one more 1
+        counts = count(matrix, rows, p)
+        counts[-1, 1] += 1
+        return counts
+
+    monkeypatch.setattr(codes, "symbol_counts", perturbed)
     out = tmp_path / f"b.{fmt}"
     argv = ["build", "--p", "3", "--m", "3", "--construction", "first", "--alpha", "0"]
     assert main(argv + ["--format", fmt, "--out", str(out)]) == 1

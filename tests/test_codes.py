@@ -26,6 +26,7 @@ from tracecc import (
     predicted_weight_distribution_thm31,
     weight_distribution,
 )
+from tracecc.ccc import CONSTRUCTIONS, build_construction
 from tracecc.codes import trace_code_json, weight_table_csv
 
 
@@ -221,6 +222,22 @@ def test_census_matches_naive_recount(f9):
         w = sum(1 for s in row if s)
         recount[w] = recount.get(w, 0) + 1
     assert weight_distribution(code).as_dict() == recount
+
+
+@pytest.mark.parametrize("p,m", [(3, 2), (3, 3), (3, 4), (5, 2), (5, 3)])
+def test_weights_from_symbol_counts_match_count_nonzero(p, m):
+    built = 0
+    for construction in CONSTRUCTIONS:
+        for alpha in range(p) if construction == "first" else [None]:
+            try:
+                code, _ = build_construction(make_field(p, m), construction, alpha)
+            except (DegenerateSet, OddDegree):  # E needs an even degree and is empty for 5^2
+                continue
+            words = code.distinct_words
+            assert code.weights.tolist() == np.count_nonzero(words, axis=1).tolist()
+            assert code.counts.tolist() == [np.bincount(w, minlength=p).tolist() for w in words]
+            built += 1
+    assert built == p + 2 * (m % 2 == 0 and (p, m) != (5, 2))
 
 
 @pytest.mark.parametrize("p,m", [(3, 2), (3, 3), (3, 4), (5, 2), (5, 3), (7, 2)])

@@ -35,6 +35,8 @@ def test_each_field_is_built_once(monkeypatch):
         # a sweep whose every planned instance is skipped
         (SweepSpec(p_list=(3,), m_min=2, m_max=2, q_cap=1), ValueError),
         (SweepSpec(p_list=(3,), m_min=3, m_max=3, constructions=("second-S",)), ValueError),
+        # a degree whose every field exceeds the q-cap, refused before any entry is planned
+        (SweepSpec(m_max=18), ValueError),
     ],
 )
 def test_bad_spec_is_refused_before_any_instance(monkeypatch, spec, error):
@@ -45,6 +47,22 @@ def test_bad_spec_is_refused_before_any_instance(monkeypatch, spec, error):
     monkeypatch.setattr(sweep, "verify_second_instance", must_not_run)
     with pytest.raises(error):
         run_sweep(spec)
+
+
+def test_degree_range_stops_at_the_q_cap_bit_length(monkeypatch):
+    # planned, never run: degree 17 still plans its skips, degree 18 is refused
+    assert sweep.DEFAULT_Q_CAP.bit_length() == 17
+    plan = sweep.plan_sweep(SweepSpec(m_max=17))
+    assert max(m for _, _, m, _, _ in plan) == 17
+    assert all(skip for _, p, m, _, skip in plan if p**m > sweep.DEFAULT_Q_CAP)
+    planned = []
+    monkeypatch.setattr(sweep, "exceeds_q_cap", lambda *args: planned.append(args))
+    with pytest.raises(ValueError, match="q-cap"):
+        sweep.plan_sweep(SweepSpec(m_max=18))
+    assert planned == []
+    with pytest.raises(ValueError, match="q-cap"):
+        sweep.plan_sweep(SweepSpec(p_list=(3,), m_max=5, q_cap=10))  # 10 has 4 bits
+    assert sweep.plan_sweep(SweepSpec(p_list=(3,), m_max=4, q_cap=10))
 
 
 @pytest.mark.parametrize("p", [3, 5, 7, 127])

@@ -14,7 +14,9 @@ The bound evaluation is exact integer/rational arithmetic throughout;
 optimality means M * denominator == n * d with no floating point involved.
 
 CONSTRUCTIONS is the one place that tells the paper's three constructions
-apart; everything else handles construction names only.
+apart. Outside it, only the wrappers that the benchmark clocks by name branch on
+a construction name: extract_subcode_* here, and sweep's verify_*_instance and
+the run_sweep branch that picks one of them.
 """
 
 from __future__ import annotations
@@ -115,18 +117,6 @@ class CccCode:
 
     def lfvc(self) -> "LfvcReport":
         return lfvc_evaluate(self.n, self.M, self.d, self.composition)
-
-    def checks(self) -> dict:
-        """The subcode verdicts: composition, the two distance routes, the closed form."""
-        field = self.source.field
-        predicted = CONSTRUCTIONS[self.construction].predict(field.p, field.m, self.alpha)
-        return {
-            "composition_ok": self.composition_ok,
-            "distance_matches_ambient": (
-                None if self.d_pairwise is None else self.d_pairwise == self.d_ambient
-            ),
-            "prediction_matches": self.params == predicted,
-        }
 
     def __repr__(self):
         return (
@@ -368,7 +358,14 @@ def ccc_json(subcode: CccCode, emit_codewords: bool = False) -> dict:
     doc["d_ambient"] = subcode.d_ambient
     doc["omega"] = list(subcode.composition)
     doc["lfvc"] = subcode.lfvc().to_json_dict()
-    doc["checks"] = subcode.checks()
+    predicted = CONSTRUCTIONS[subcode.construction].predict(field.p, field.m, subcode.alpha)
+    doc["checks"] = {  # composition, the two distance routes, the closed form
+        "composition_ok": subcode.composition_ok,
+        "distance_matches_ambient": (
+            None if subcode.d_pairwise is None else subcode.d_pairwise == subcode.d_ambient
+        ),
+        "prediction_matches": subcode.params == predicted,
+    }
     if emit_codewords:
         doc["codewords"] = codewords_as_strings(subcode.words, field.p)
     return doc

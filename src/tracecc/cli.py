@@ -23,7 +23,9 @@ from .ccc import CONSTRUCTIONS, build_construction, ccc_json
 from .codes import trace_code_json, weight_distribution, weight_table_csv
 from .errors import TraceCCError
 from .gfpm import check_characteristic, make_field
-from .sweep import DEFAULT_Q_CAP, SweepSpec, exceeds_q_cap, fiber_check, gauss_check, run_sweep
+from .sweep import (
+    DEFAULT_Q_CAP, SweepSpec, exceeds_q_cap, fiber_check, gauss_check, judge, run_sweep
+)
 
 EXIT_OK = 0
 EXIT_MISMATCH = 1
@@ -52,10 +54,9 @@ def _field(args):
 def _cmd_build(args):
     field = _field(args)
     code, sub = build_construction(field, args.construction, args.alpha)
-    checks = sub.checks()
-    ok = all(v is not False for v in checks.values())
+    failed = judge(sub).failed  # the same verdict as the instance's sweep record
     if args.format == "csv":
-        return weight_table_csv(weight_distribution(code)), None, ok
+        return weight_table_csv(weight_distribution(code)), None, not failed
     doc = {
         "code": trace_code_json(code, emit_codewords=args.emit_codewords),
         "ccc": ccc_json(sub, emit_codewords=args.emit_codewords),
@@ -72,8 +73,8 @@ def _cmd_build(args):
         + (f" bound={report.bound}" if report.bound is not None else "")
         + f" verdict={report.verdict}",
     ]
-    lines.append(f"checks         {'all ok' if ok else 'FAILED: ' + str(checks)}")
-    return doc, lines, ok
+    lines.append(f"checks         {'FAILED: ' + ', '.join(failed) if failed else 'all ok'}")
+    return doc, lines, not failed
 
 
 def _cmd_verify_sweep(args):
@@ -96,8 +97,7 @@ def _cmd_verify_sweep(args):
         elif inst.status == "ok":
             lines.append(f"ok    {inst.label()}  ({inst.seconds:.3f}s)")
         else:
-            failed = [k for k, v in inst.checks.items() if v is False]
-            lines.append(f"FAIL  {inst.label()}  {inst.reason or failed}")
+            lines.append(f"FAIL  {inst.label()}  {inst.reason or inst.failed}")
     lines.append("summary: " + " ".join(f"{k}={v}" for k, v in report.summary().items()))
     return report.to_json_dict(include_timing=not args.no_timestamp), lines, report.ok
 

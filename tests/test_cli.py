@@ -203,11 +203,14 @@ def test_verify_sweep_degenerate_is_skip_not_fail(tmp_path):
     code, doc = run_json(
         tmp_path,
         "s.json",
-        ["verify-sweep", "--p", "5", "--m", "2", "2", "--constructions", "second-S"],
+        ["verify-sweep", "--p", "5", "--m", "2", "2", "--constructions", "first", "second-S"],
     )
     assert code == 0
-    assert doc["summary"] == {"pass": 0, "fail": 0, "skip": 1}
-    assert doc["instances"][0]["reason"] == "degenerate defining set"
+    assert doc["summary"] == {"pass": 5, "fail": 0, "skip": 1}
+    assert doc["instances"][-1] == {
+        "construction": "second-S", "p": 5, "m": 2, "status": "skip",
+        "reason": "degenerate defining set", "seconds": 0.0,
+    }
 
 
 def test_verify_sweep_q_cap_skips(tmp_path):
@@ -251,6 +254,7 @@ def test_verify_sweep_empty_spec(monkeypatch, capsys):
         ["--alphas", ""],
         ["--p", "3", "--m", "2", "2", "--q-cap", "1"],  # every instance over the cap
         ["--p", "3", "--m", "3", "3", "--constructions", "second-S"],  # every degree odd
+        ["--p", "5", "--m", "2", "2", "--constructions", "second-S"],  # every point degenerate
     ):
         assert main(["verify-sweep"] + argv) == 2
         assert json.loads(capsys.readouterr().out)["error"]["type"] == "ValueError"
@@ -444,6 +448,38 @@ def test_build_composition_violation_exits_1(tmp_path, monkeypatch, fmt):
         assert out.read_text() == "weight,frequency\n0,1\n6,8\n"
     else:
         assert json.loads(out.read_text())["ccc"]["checks"]["composition_ok"] is False
+
+
+@pytest.mark.parametrize("fmt", ["json", "csv"])
+def test_build_corrupted_census_exits_1(tmp_path, monkeypatch, capsys, fmt):
+    entry = ccc.CONSTRUCTIONS["first"]
+
+    def one_word_more(p, m, alpha):  # the census closed form claims one word too many
+        (weight, count), *rest = entry.predict_census(p, m, alpha)
+        return codes.WeightDistribution(((weight, count + 1), *rest))
+
+    monkeypatch.setitem(ccc.CONSTRUCTIONS, "first", entry._replace(predict_census=one_word_more))
+    out = tmp_path / f"b.{fmt}"
+    argv = ["build", "--p", "3", "--m", "3", "--construction", "first", "--alpha", "0"]
+    assert main(argv + ["--format", fmt, "--out", str(out)]) == 1
+    if fmt == "csv":
+        assert out.read_text() == "weight,frequency\n0,1\n6,8\n"
+    else:  # the subcode's own verdicts hold; the ambient ones do not
+        assert all(json.loads(out.read_text())["ccc"]["checks"].values())
+        human = capsys.readouterr().out
+        assert "checks         FAILED: ambient_dimension, ambient_weight_distribution\n" in human
+
+
+def test_build_failed_bound_check_exits_1(tmp_path, monkeypatch, capsys):
+    entry = ccc.CONSTRUCTIONS["second-S"]
+    forced = entry._replace(bound_checks=lambda sub, report: {"lfvc_bound_inapplicable": False})
+    monkeypatch.setitem(ccc.CONSTRUCTIONS, "second-S", forced)
+    code, doc = run_json(
+        tmp_path, "b.json", ["build", "--p", "3", "--m", "2", "--construction", "second-S"]
+    )
+    assert code == 1
+    assert all(doc["ccc"]["checks"].values())
+    assert "checks         FAILED: lfvc_bound_inapplicable\n" in capsys.readouterr().out
 
 
 # -- build and verify-sweep agree ------------------------------------------------------------

@@ -72,3 +72,21 @@ def test_only_codes_row_classes_hashes_rows():
             ]
     assert [where for owner, where in found if owner != "codes.row_classes"] == []
     assert found, "codes.row_classes no longer hashes rows with .tobytes()"
+
+
+def test_only_plan_sweep_names_a_skip():
+    # one gate: every skip reason is decided in sweep.plan_sweep, before any instance runs
+    reasons = ("exceeds q-cap", "odd extension degree", "degenerate defining set")
+    found = []
+    for path in sorted(PACKAGE.glob("*.py")):
+        for top in ast.parse(path.read_text(), filename=str(path)).body:
+            owner = f"{path.stem}.{getattr(top, 'name', '<module>')}"
+            found += [
+                (owner, reason, f"{path.name}:{node.lineno} in {owner}")
+                for node in ast.walk(top)
+                if isinstance(node, ast.Constant) and isinstance(node.value, str)
+                for reason in reasons
+                if reason in node.value
+            ]
+    assert [where for owner, _, where in found if owner != "sweep.plan_sweep"] == []
+    assert {reason for _, reason, _ in found} == set(reasons)

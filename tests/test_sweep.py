@@ -5,7 +5,9 @@ each read false, and gauss_check's work."""
 import numpy as np
 import pytest
 
-from tracecc import NotPrime, SweepSpec, ccc, charsums, gfpm, make_field, run_sweep, sweep
+from tracecc import (
+    DegenerateSet, NotPrime, SweepSpec, ccc, charsums, gfpm, make_field, run_sweep, sweep
+)
 from tracecc.codes import WeightDistribution
 
 
@@ -35,6 +37,7 @@ def test_each_field_is_built_once(monkeypatch):
         # a sweep whose every planned instance is skipped
         (SweepSpec(p_list=(3,), m_min=2, m_max=2, q_cap=1), ValueError),
         (SweepSpec(p_list=(3,), m_min=3, m_max=3, constructions=("second-S",)), ValueError),
+        (SweepSpec(p_list=(5,), m_min=2, m_max=2, constructions=("second-S",)), ValueError),
         # a degree whose every field exceeds the q-cap, refused before any entry is planned
         (SweepSpec(m_max=18), ValueError),
     ],
@@ -63,6 +66,42 @@ def test_degree_range_stops_at_the_q_cap_bit_length(monkeypatch):
     with pytest.raises(ValueError, match="q-cap"):
         sweep.plan_sweep(SweepSpec(p_list=(3,), m_max=5, q_cap=10))  # 10 has 4 bits
     assert sweep.plan_sweep(SweepSpec(p_list=(3,), m_max=4, q_cap=10))
+
+
+def test_plan_marks_degenerate_points_from_the_closed_form(monkeypatch):
+    def must_not_build(*args, **kwargs):
+        raise AssertionError("a field was built while planning")
+
+    monkeypatch.setattr(sweep, "make_field", must_not_build)
+    second = ("second-S", "second-complement")
+    plan = sweep.plan_sweep(SweepSpec(p_list=(3, 5, 7, 13, 17), m_min=2, m_max=2))
+    skips = {(c, p): skip for c, p, _, _, skip in plan if c in second}
+    degenerate = {(c, p): "degenerate defining set" for c in second for p in (5, 13, 17)}
+    assert skips == {**{(c, p): "" for c in second for p in (3, 7)}, **degenerate}
+    assert all(skip == "" for c, *_, skip in plan if c == "first")
+
+
+def test_plan_skip_precedence():
+    # odd degree first, then the q-cap, then a degenerate defining set (13^2 is both of the last)
+    plan = sweep.plan_sweep(SweepSpec(p_list=(3, 13), m_min=2, m_max=3, q_cap=30))
+    assert {(p, m): skip for c, p, m, _, skip in plan if c == "second-S"} == {
+        (3, 2): "",
+        (3, 3): "odd extension degree",
+        (13, 2): "exceeds q-cap",
+        (13, 3): "odd extension degree",
+    }
+
+
+def test_degenerate_set_at_run_time_is_a_fail_record(monkeypatch):
+    # the closed form is defined at 3^2, so the plan runs it; the builder then refuses
+    def degenerate(field):
+        raise DegenerateSet(f"E is empty over {field!r}")
+
+    monkeypatch.setattr(ccc, "build_defining_set_E", degenerate)
+    report = run_sweep(SweepSpec(p_list=(3,), m_min=2, m_max=2, constructions=("second-S",)))
+    (record,) = report.instances
+    assert (record.status, record.reason) == ("fail", "DegenerateSet: E is empty over GF(3^2)")
+    assert not report.ok
 
 
 @pytest.mark.parametrize("p", [3, 5, 7, 127])

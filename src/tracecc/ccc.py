@@ -1,8 +1,9 @@
 """Constant composition subcodes of the ambient trace codes.
 
 A subcode is the ambient code's distinct words whose class ids occur over
-the index set, in order of first occurrence there; its composition is a
-lookup of those ids in the ambient code's symbol counts. Extraction keeps two
+the index set, in order of first occurrence there, kept as their rows in the
+ambient matrix; its composition is a lookup of those ids in the ambient
+code's symbol counts. Extraction keeps two
 independent routes to the minimum distance: the pairwise census (the oracle)
 and the ambient minimum weight (the shortcut justified by the difference
 argument). Both are stored so reports can compare them. The oracle compares
@@ -90,7 +91,7 @@ class CccCode:
 
     source: TraceCode
     construction: str  # a key of CONSTRUCTIONS
-    words: np.ndarray
+    rows: np.ndarray  # ambient row of each word, in order of first occurrence over the index set
     composition: tuple  # of word 0
     composition_ok: bool  # every word has word 0's composition
     index_count: int
@@ -100,12 +101,16 @@ class CccCode:
     tau: Optional[int] = None
 
     @property
+    def words(self) -> np.ndarray:
+        return self.source.matrix[self.rows]
+
+    @property
     def n(self) -> int:
-        return self.words.shape[1]
+        return self.source.length
 
     @property
     def M(self) -> int:
-        return self.words.shape[0]
+        return len(self.rows)
 
     @property
     def d(self) -> int:
@@ -133,15 +138,16 @@ def _extract(code: TraceCode, construction: str) -> CccCode:
     field = code.field
     index = np.flatnonzero(entry.index_mask(field))
     ids, first = np.unique(code.classes[index], return_index=True)
-    words = code.matrix[index[np.sort(first)]]
+    rows = index[np.sort(first)]
     composition = tuple(int(c) for c in code.counts[code.classes[index[0]]])  # of word 0
     composition_ok = bool((code.counts == composition).all(axis=1)[ids].all())
     d_ambient = minimum_distance(code)
-    d_pairwise = pairwise_min_distance(words) if words.shape[0] <= PAIRWISE_ORACLE_CAP else None
+    oracle_runs = len(rows) <= PAIRWISE_ORACLE_CAP  # the words are gathered for it alone
+    d_pairwise = pairwise_min_distance(code.matrix[rows]) if oracle_runs else None
     return CccCode(
         code,
         construction,
-        words,
+        rows,
         composition,
         composition_ok,
         index_count=len(index),
@@ -201,10 +207,6 @@ def predicted_ccc_second(p: int, m: int, which: str) -> CccParams:
 
 @dataclass(frozen=True)
 class LfvcReport:
-    n: int
-    M: int
-    d: int
-    omega: tuple
     denominator: int
     bound: Optional[Fraction]
     verdict: str  # "optimal" | "not-optimal" | "bound-inapplicable"
@@ -235,10 +237,10 @@ def lfvc_evaluate(n: int, M: int, d: int, omega) -> LfvcReport:
         )
     denominator = n * d - n * n + sum(w * w for w in omega)
     if denominator <= 0:
-        return LfvcReport(n, M, d, omega, denominator, None, "bound-inapplicable")
+        return LfvcReport(denominator, None, "bound-inapplicable")
     bound = Fraction(n * d, denominator)
     verdict = "optimal" if M * denominator == n * d else "not-optimal"
-    return LfvcReport(n, M, d, omega, denominator, bound, verdict)
+    return LfvcReport(denominator, bound, verdict)
 
 
 # -- the three constructions ----------------------------------------------------

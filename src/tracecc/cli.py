@@ -18,14 +18,12 @@ import sys
 from datetime import datetime, timezone
 from pathlib import Path
 
-from . import __version__
+from . import __version__, sweep
 from .ccc import CONSTRUCTIONS, build_construction, ccc_json
 from .codes import trace_code_json, weight_distribution, weight_table_csv
 from .errors import TraceCCError
 from .gfpm import check_characteristic, make_field
-from .sweep import (
-    DEFAULT_Q_CAP, SweepSpec, exceeds_q_cap, fiber_check, gauss_check, judge, run_sweep
-)
+from .sweep import SweepSpec, exceeds_q_cap, fiber_check, gauss_check, judge, run_sweep
 
 EXIT_OK = 0
 EXIT_MISMATCH = 1
@@ -44,8 +42,8 @@ def _parse_modulus(text):
 def _field(args):
     """The field of a single-field command, refused above DEFAULT_Q_CAP before any table exists."""
     check_characteristic(args.p)
-    if exceeds_q_cap(args.p, args.m, DEFAULT_Q_CAP):
-        raise ValueError(f"GF({args.p}^{args.m}) has more than {DEFAULT_Q_CAP} elements")
+    if exceeds_q_cap(args.p, args.m):
+        raise ValueError(f"GF({args.p}^{args.m}) has more than {sweep.DEFAULT_Q_CAP} elements")
     return make_field(args.p, args.m, _parse_modulus(args.modulus))
 
 
@@ -85,7 +83,6 @@ def _cmd_verify_sweep(args):
         p_list=tuple(args.p),
         m_min=args.m[0],
         m_max=args.m[1],
-        q_cap=args.q_cap,
         constructions=tuple(args.constructions),
         alphas=alphas,
     )
@@ -174,9 +171,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_sweep.add_argument(
         "--m", type=int, nargs=2, default=[2, 5], metavar=("MIN", "MAX"),
         help="inclusive extension degree range",
-    )
-    p_sweep.add_argument(
-        "--q-cap", type=int, default=DEFAULT_Q_CAP, help="skip fields above this size"
     )
     p_sweep.add_argument(
         "--constructions",

@@ -33,7 +33,7 @@ from .gfpm import Field, check_characteristic, make_field
 #: quadratic-sum spot checks use every triple up to this field size, then sampling
 EXHAUSTIVE_TRIPLE_LIMIT = 27
 QUADRATIC_SAMPLE_COUNT = 100
-#: fields above this size are skipped by the sweep and refused by the single-field commands
+#: every command's field-size ceiling, set by no option: larger fields are skipped or refused
 DEFAULT_Q_CAP = 100_000
 
 
@@ -42,7 +42,6 @@ class SweepSpec:
     p_list: tuple = (3, 5, 7)
     m_min: int = 2
     m_max: int = 5
-    q_cap: int = DEFAULT_Q_CAP
     constructions: tuple = tuple(CONSTRUCTIONS)
     alphas: object = "all"  # "all" or an explicit tuple of residues
 
@@ -50,7 +49,7 @@ class SweepSpec:
         return {
             "p_list": list(self.p_list),
             "m_range": [self.m_min, self.m_max],
-            "q_cap": self.q_cap,
+            "q_cap": DEFAULT_Q_CAP,
             "constructions": list(self.constructions),
             "alphas": "all" if self.alphas == "all" else list(self.alphas),
             "pairwise_cap": PAIRWISE_ORACLE_CAP,
@@ -176,10 +175,10 @@ def verify_second_instance(field: Field, which: str):
     return _verify(f"second-{which}", field, None)
 
 
-def exceeds_q_cap(p: int, m: int, q_cap: int) -> bool:
-    """Whether p**m > q_cap, for a prime p, without raising p to a huge m."""
-    # 2**m > q_cap once m reaches the cap's bit length, and p >= 2
-    return p ** min(m, q_cap.bit_length()) > q_cap
+def exceeds_q_cap(p: int, m: int) -> bool:
+    """Whether p**m > DEFAULT_Q_CAP, for p >= 2, without raising p to a huge m."""
+    # 2**m > DEFAULT_Q_CAP once m reaches the cap's bit length
+    return p ** min(m, DEFAULT_Q_CAP.bit_length()) > DEFAULT_Q_CAP
 
 
 def plan_sweep(spec: SweepSpec) -> list:
@@ -195,8 +194,8 @@ def plan_sweep(spec: SweepSpec) -> list:
         raise ValueError("the constructions need extension degree at least 2")
     if spec.m_min > spec.m_max:
         raise ValueError(f"extension degree range {spec.m_min}..{spec.m_max} is empty")
-    if spec.m_max > spec.q_cap.bit_length():  # 2**m_max > q_cap; refused before a skip per degree
-        raise ValueError(f"every field of degree {spec.m_max} exceeds the q-cap {spec.q_cap}")
+    if exceeds_q_cap(2, spec.m_max - 1):  # each field of degree m_max is over twice the cap
+        raise ValueError(f"every field of degree {spec.m_max} exceeds the q-cap {DEFAULT_Q_CAP}")
     for construction in spec.constructions:
         if construction not in CONSTRUCTIONS:
             raise ValueError(f"unknown construction {construction!r}")
@@ -209,7 +208,7 @@ def plan_sweep(spec: SweepSpec) -> list:
     for p in dict.fromkeys(spec.p_list):
         check_characteristic(p)
         for m in range(spec.m_min, spec.m_max + 1):
-            over_cap = "exceeds q-cap" if exceeds_q_cap(p, m, spec.q_cap) else ""
+            over_cap = "exceeds q-cap" if exceeds_q_cap(p, m) else ""
             for construction, entry in CONSTRUCTIONS.items():
                 if construction not in spec.constructions:
                     continue

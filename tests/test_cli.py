@@ -1,8 +1,10 @@
 """Command line interface: reports, formats, determinism, exit codes."""
 
+import argparse
 import json
 import re
 from datetime import datetime
+from pathlib import Path
 
 import pytest
 
@@ -213,12 +215,12 @@ def test_verify_sweep_degenerate_is_skip_not_fail(tmp_path):
     }
 
 
-def test_verify_sweep_q_cap_skips(tmp_path):
+def test_verify_sweep_q_cap_skips(tmp_path, monkeypatch):
+    monkeypatch.setattr(sweep, "DEFAULT_Q_CAP", 10)
     code, doc = run_json(
         tmp_path,
         "s.json",
-        ["verify-sweep", "--p", "3", "--m", "2", "3", "--q-cap", "10",
-         "--constructions", "first"],
+        ["verify-sweep", "--p", "3", "--m", "2", "3", "--constructions", "first"],
     )
     assert code == 0
     assert doc["summary"]["pass"] == 3  # only m=2 fits under the cap
@@ -252,10 +254,12 @@ def test_verify_sweep_empty_spec(monkeypatch, capsys):
         ["--p"],
         ["--constructions"],
         ["--alphas", ""],
-        ["--p", "3", "--m", "2", "2", "--q-cap", "1"],  # every instance over the cap
         ["--p", "3", "--m", "3", "3", "--constructions", "second-S"],  # every degree odd
         ["--p", "5", "--m", "2", "2", "--constructions", "second-S"],  # every point degenerate
+        ["--p", "3", "--m", "2", "2"],  # every instance over the cap, once it is 1
     ):
+        if argv == ["--p", "3", "--m", "2", "2"]:
+            monkeypatch.setattr(sweep, "DEFAULT_Q_CAP", 1)
         assert main(["verify-sweep"] + argv) == 2
         assert json.loads(capsys.readouterr().out)["error"]["type"] == "ValueError"
 
@@ -551,6 +555,33 @@ def test_field_at_q_cap_boundary_is_built(tmp_path):
     assert main(["fibers", "--p", "3", "--m", "11"]) == 2
 
 
+def test_one_q_cap_rules_the_sweep_and_the_single_field_commands(tmp_path, monkeypatch, capsys):
+    monkeypatch.setattr(sweep, "DEFAULT_Q_CAP", 10)
+    code, doc = run_json(
+        tmp_path, "s.json", ["verify-sweep", "--p", "3", "--m", "2", "3", "--constructions", "first"]
+    )
+    assert code == 0 and doc["spec"]["q_cap"] == 10
+    assert {(i["m"], i["status"], i.get("reason")) for i in doc["instances"]} == {
+        (2, "ok", None), (3, "skip", "exceeds q-cap")
+    }
+    capsys.readouterr()
+    assert main(["build", "--p", "3", "--m", "3", "--construction", "first", "--alpha", "0"]) == 2
+    assert "GF(3^3) has more than 10 elements" in capsys.readouterr().err
+
+
+def test_verify_sweep_has_no_cap_option(monkeypatch, capsys):
+    # a sweep cannot ask for a field that build refuses: 3^11 is over the one cap
+    def must_not_run(*args, **kwargs):
+        raise AssertionError("a sweep ran with a cap of its own")
+
+    for name in ("make_field", "verify_first_instance", "verify_second_instance"):
+        monkeypatch.setattr(sweep, name, must_not_run)
+    with pytest.raises(SystemExit) as exited:
+        main(["verify-sweep", "--q-cap", "200000", "--p", "3", "--m", "11", "11"])
+    assert exited.value.code == 2
+    assert "unrecognized arguments: --q-cap" in capsys.readouterr().err
+
+
 def test_exactly_the_parameter_errors_exit_2(monkeypatch, capsys):
     # the one place the exit-code split lives is the ParameterError base class
     classes = [
@@ -609,3 +640,19 @@ def test_every_report_is_stamped_and_human_lines_go_where_the_report_does_not(
     without_out = capsys.readouterr()
     assert list(json.loads(without_out.out))[:2] == ["command", "generated_at"]
     assert untimed(without_out.err) == untimed(with_out.out)
+
+
+def test_readme_flags_line_lists_the_parser_options():
+    # the README's Flags: paragraph names every long option of the four subcommands, no more
+    parser = cli.build_parser()
+    (subcommands,) = [a for a in parser._actions if isinstance(a, argparse._SubParsersAction)]
+    options = {
+        option
+        for subparser in subcommands.choices.values()
+        for action in subparser._actions
+        for option in action.option_strings
+        if option.startswith("--") and option not in ("--help", "--version")
+    }
+    readme = (Path(__file__).parents[1] / "README.md").read_text()
+    (paragraph,) = re.findall(r"^Flags:.*?(?:\n\n|\Z)", readme, flags=re.M | re.S)
+    assert set(re.findall(r"`(--[\w-]+)", paragraph)) == options

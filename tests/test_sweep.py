@@ -34,8 +34,8 @@ def test_each_field_is_built_once(monkeypatch):
         (SweepSpec(p_list=()), ValueError),
         (SweepSpec(constructions=()), ValueError),
         (SweepSpec(alphas=(), constructions=("first",)), ValueError),
-        # a sweep whose every planned instance is skipped
-        (SweepSpec(p_list=(3,), m_min=2, m_max=2, q_cap=1), ValueError),
+        # a sweep whose every planned instance is skipped (the first under a q-cap of 1)
+        ((SweepSpec(p_list=(3,), m_min=2, m_max=2), 1), ValueError),
         (SweepSpec(p_list=(3,), m_min=3, m_max=3, constructions=("second-S",)), ValueError),
         (SweepSpec(p_list=(5,), m_min=2, m_max=2, constructions=("second-S",)), ValueError),
         # a degree whose every field exceeds the q-cap, refused before any entry is planned
@@ -48,8 +48,17 @@ def test_bad_spec_is_refused_before_any_instance(monkeypatch, spec, error):
 
     monkeypatch.setattr(sweep, "verify_first_instance", must_not_run)
     monkeypatch.setattr(sweep, "verify_second_instance", must_not_run)
+    if isinstance(spec, tuple):  # a spec and the q-cap it is planned under
+        spec, q_cap = spec
+        monkeypatch.setattr(sweep, "DEFAULT_Q_CAP", q_cap)
     with pytest.raises(error):
         run_sweep(spec)
+
+
+def test_the_q_cap_is_no_field_of_the_spec():
+    with pytest.raises(TypeError):
+        SweepSpec(q_cap=10)
+    assert SweepSpec().to_json_dict()["q_cap"] == sweep.DEFAULT_Q_CAP == 100_000
 
 
 def test_degree_range_stops_at_the_q_cap_bit_length(monkeypatch):
@@ -58,14 +67,20 @@ def test_degree_range_stops_at_the_q_cap_bit_length(monkeypatch):
     plan = sweep.plan_sweep(SweepSpec(m_max=17))
     assert max(m for _, _, m, _, _ in plan) == 17
     assert all(skip for _, p, m, _, skip in plan if p**m > sweep.DEFAULT_Q_CAP)
-    planned = []
-    monkeypatch.setattr(sweep, "exceeds_q_cap", lambda *args: planned.append(args))
+    planned, exceeds_q_cap = [], sweep.exceeds_q_cap
+
+    def recording(p, m):
+        planned.append((p, m))
+        return exceeds_q_cap(p, m)
+
+    monkeypatch.setattr(sweep, "exceeds_q_cap", recording)
     with pytest.raises(ValueError, match="q-cap"):
         sweep.plan_sweep(SweepSpec(m_max=18))
-    assert planned == []
+    assert planned == [(2, 17)]  # the degree refusal's own question, and no point's
+    monkeypatch.setattr(sweep, "DEFAULT_Q_CAP", 10)  # 10 has 4 bits
     with pytest.raises(ValueError, match="q-cap"):
-        sweep.plan_sweep(SweepSpec(p_list=(3,), m_max=5, q_cap=10))  # 10 has 4 bits
-    assert sweep.plan_sweep(SweepSpec(p_list=(3,), m_max=4, q_cap=10))
+        sweep.plan_sweep(SweepSpec(p_list=(3,), m_max=5))
+    assert sweep.plan_sweep(SweepSpec(p_list=(3,), m_max=4))
 
 
 def test_plan_marks_degenerate_points_from_the_closed_form(monkeypatch):
@@ -81,9 +96,10 @@ def test_plan_marks_degenerate_points_from_the_closed_form(monkeypatch):
     assert all(skip == "" for c, *_, skip in plan if c == "first")
 
 
-def test_plan_skip_precedence():
+def test_plan_skip_precedence(monkeypatch):
     # odd degree first, then the q-cap, then a degenerate defining set (13^2 is both of the last)
-    plan = sweep.plan_sweep(SweepSpec(p_list=(3, 13), m_min=2, m_max=3, q_cap=30))
+    monkeypatch.setattr(sweep, "DEFAULT_Q_CAP", 30)
+    plan = sweep.plan_sweep(SweepSpec(p_list=(3, 13), m_min=2, m_max=3))
     assert {(p, m): skip for c, p, m, _, skip in plan if c == "second-S"} == {
         (3, 2): "",
         (3, 3): "odd extension degree",
@@ -105,9 +121,10 @@ def test_degenerate_set_at_run_time_is_a_fail_record(monkeypatch):
 
 
 @pytest.mark.parametrize("p", [3, 5, 7, 127])
-def test_exceeds_q_cap_is_p_to_the_m_over_the_cap(p):
+def test_exceeds_q_cap_is_p_to_the_m_over_the_cap(monkeypatch, p):
     for q_cap in (0, 1, 10, 10**5, 10**30):
-        assert [sweep.exceeds_q_cap(p, m, q_cap) for m in range(41)] == [
+        monkeypatch.setattr(sweep, "DEFAULT_Q_CAP", q_cap)
+        assert [sweep.exceeds_q_cap(p, m) for m in range(41)] == [
             p**m > q_cap for m in range(41)
         ]
 

@@ -21,7 +21,6 @@ from .ccc import (
 )
 from .charsums import (
     EPS,
-    FiberCountReport,
     count_trace_fiber,
     count_trace_square_fiber,
     gauss_sum_fp,

@@ -9,12 +9,14 @@ exact quarter turns so the predictor side cannot drift in sign.
 Completed quadratic sums run in batches of triples of element indices, by
 table lookups, the trace form and `Field.product_indices`: no scalar trace
 or inverse runs per triple, and the scalar routes stay the oracle.
+
+Trace fibers come as one census per kind, a single histogram over every
+alpha of Tr(x) or Tr(x**2), beside the closed-form sizes.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
@@ -134,19 +136,10 @@ def quadratic_sums(field: Field, a2, a1, a0):
 # -- trace fibers ------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class FiberCountReport:
-    alpha: int
-    count_enumerated: int
-    count_predicted: int
-    kind: str  # "linear-trace" or "quadratic-trace"
-
-
-def count_trace_fiber(field: Field, alpha: int) -> FiberCountReport:
-    """Exhaustive count of {x : Tr(x) = alpha} beside its prediction p^(m-1)."""
-    alpha = int(alpha) % field.p
-    enumerated = int(np.count_nonzero(field.trace_table == alpha))
-    return FiberCountReport(alpha, enumerated, field.p ** (field.m - 1), "linear-trace")
+def count_trace_fiber(field: Field):
+    """Sizes of {x : Tr(x) = alpha} for alpha = 0..p-1: (enumerated, predicted p^(m-1))."""
+    enumerated = np.bincount(field.trace_table, minlength=field.p)[: field.p]
+    return enumerated.tolist(), [field.p ** (field.m - 1)] * field.p
 
 
 def predicted_square_trace_fiber(p: int, m: int, alpha: int) -> int:
@@ -163,10 +156,8 @@ def predicted_square_trace_fiber(p: int, m: int, alpha: int) -> int:
     return p ** (m - 1) + tau * p ** ((m - 2) // 2)
 
 
-def count_trace_square_fiber(field: Field, alpha: int) -> FiberCountReport:
-    """Exhaustive count of {x : Tr(x**2) = alpha} beside its closed-form prediction."""
-    alpha = int(alpha) % field.p
-    squares_trace = field.trace_table[field.square_index_table]
-    enumerated = int(np.count_nonzero(squares_trace == alpha))
-    predicted = predicted_square_trace_fiber(field.p, field.m, alpha)
-    return FiberCountReport(alpha, enumerated, predicted, "quadratic-trace")
+def count_trace_square_fiber(field: Field):
+    """Sizes of {x : Tr(x**2) = alpha} for alpha = 0..p-1: (enumerated, closed form)."""
+    p = field.p
+    enumerated = np.bincount(field.trace_table[field.square_index_table], minlength=p)[:p]
+    return enumerated.tolist(), [predicted_square_trace_fiber(p, field.m, a) for a in range(p)]

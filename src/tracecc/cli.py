@@ -1,10 +1,10 @@
 """Batch command line frontend.
 
 Commands: build, verify-sweep, gauss-check, fibers. JSON is the machine
-interface (written to --out, or to stdout when --out is omitted); CSV is
-available for weight and fiber tables only. Human-readable lines go to stdout
-with --out and to stderr without it. Exit codes: 0 all checks pass,
-1 verification mismatch, 2 invalid parameters.
+interface (written to --out, or to stdout when --out is omitted). Only build
+and fibers take --format, whose csv gives their weight and fiber tables.
+Human-readable lines go to stdout with --out and to stderr without it.
+Exit codes: 0 all checks pass, 1 verification mismatch, 2 invalid parameters.
 
 Reports are byte-identical across identical invocations once the volatile
 fields (timestamp, timings) are excluded with --no-timestamp.
@@ -132,9 +132,6 @@ def _cmd_fibers(args):
 def _add_common(parser, with_modulus=True):
     parser.add_argument("--out", metavar="PATH", help="write the report to this file")
     parser.add_argument(
-        "--format", choices=("json", "csv"), default="json", help="report format"
-    )
-    parser.add_argument(
         "--no-timestamp",
         action="store_true",
         help="omit volatile fields (timestamp, timings) for byte-identical output",
@@ -163,6 +160,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_build.add_argument(
         "--emit-codewords", action="store_true", help="include codewords (digits for p <= 10, comma-separated for p >= 11)"
     )
+    p_build.add_argument("--format", choices=("json", "csv"), default="json", help="report format")
     _add_common(p_build)
     p_build.set_defaults(handler=_cmd_build)
 
@@ -182,17 +180,18 @@ def build_parser() -> argparse.ArgumentParser:
         "--alphas", default="all", help="'all' or comma-separated residues, e.g. 0,1"
     )
     _add_common(p_sweep, with_modulus=False)
-    p_sweep.set_defaults(handler=_cmd_verify_sweep)
+    p_sweep.set_defaults(handler=_cmd_verify_sweep, format="json")
 
     p_gauss = sub.add_parser("gauss-check", help="check Gauss and quadratic sum closed forms")
     p_gauss.add_argument("--p", type=int, required=True)
     p_gauss.add_argument("--m", type=int, required=True)
     _add_common(p_gauss)
-    p_gauss.set_defaults(handler=_cmd_gauss_check)
+    p_gauss.set_defaults(handler=_cmd_gauss_check, format="json")
 
     p_fibers = sub.add_parser("fibers", help="tabulate trace fiber counts vs closed forms")
     p_fibers.add_argument("--p", type=int, required=True)
     p_fibers.add_argument("--m", type=int, required=True)
+    p_fibers.add_argument("--format", choices=("json", "csv"), default="json", help="report format")
     _add_common(p_fibers)
     p_fibers.set_defaults(handler=_cmd_fibers)
     return parser
@@ -204,8 +203,6 @@ def main(argv=None) -> int:
     try:
         if args.out and (Path(args.out).is_dir() or not Path(args.out).parent.is_dir()):
             raise ValueError(f"cannot write --out {args.out}: a directory, or in a missing one")
-        if args.format == "csv" and args.command in ("verify-sweep", "gauss-check"):
-            raise ValueError(f"{args.command} reports are JSON only")
         report, lines, ok = args.handler(args)
     except (TraceCCError, ValueError) as exc:
         bad_params = isinstance(exc, ValueError)  # every ParameterError is a ValueError

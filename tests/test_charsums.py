@@ -7,6 +7,7 @@ The frozen complex values below were derived by direct naive summation
 import cmath
 import math
 import random
+from collections import Counter
 
 import numpy as np
 import pytest
@@ -26,7 +27,7 @@ from tracecc import (
     quadratic_sum,
     quadratic_trace_sign,
 )
-from tracecc.charsums import completed_square, quadratic_sums
+from tracecc.charsums import completed_square, predicted_square_trace_fiber, quadratic_sums
 
 SQRT3 = math.sqrt(3.0)
 
@@ -165,16 +166,14 @@ def test_quadratic_sum_rejects_mixed_fields(f9, f25):
 
 
 def test_linear_fibers_f27(f27):
-    for alpha in range(3):
-        report = count_trace_fiber(f27, alpha)
-        assert report.count_enumerated == report.count_predicted == 9
-        assert report.kind == "linear-trace"
+    enumerated, predicted = count_trace_fiber(f27)
+    assert enumerated == predicted == [9, 9, 9]
 
 
 def test_linear_fibers_prime_field():
     f = make_field(5, 1)
-    for alpha in range(5):
-        assert count_trace_fiber(f, alpha).count_enumerated == 1
+    enumerated, _ = count_trace_fiber(f)
+    assert enumerated == [1] * 5
 
 
 @pytest.mark.parametrize(
@@ -190,7 +189,7 @@ def test_linear_fibers_prime_field():
 )
 def test_square_fibers_frozen_values(p, m, expected):
     f = make_field(p, m)
-    counts = [count_trace_square_fiber(f, a).count_enumerated for a in range(p)]
+    counts, _ = count_trace_square_fiber(f)
     assert counts == expected
     assert sum(counts) == p**m
 
@@ -198,8 +197,20 @@ def test_square_fibers_frozen_values(p, m, expected):
 @pytest.mark.parametrize("p,m", [(3, 2), (3, 3), (5, 2), (7, 2)])
 def test_fiber_partition(p, m):
     f = make_field(p, m)
-    assert sum(count_trace_fiber(f, a).count_enumerated for a in range(p)) == f.q
-    assert sum(count_trace_square_fiber(f, a).count_enumerated for a in range(p)) == f.q
+    assert sum(count_trace_fiber(f)[0]) == f.q
+    assert sum(count_trace_square_fiber(f)[0]) == f.q
+
+
+@pytest.mark.parametrize("p,m", [(3, 3), (5, 2), (7, 2), (3, 4)])
+def test_fiber_census_matches_the_scalar_trace(p, m):
+    # the tables are derived from scalar Frobenius traces; count those directly
+    f = make_field(p, m)
+    elements = list(enumerate_field(f))
+    linear = Counter(x.trace() for x in elements)
+    square = Counter((x * x).trace() for x in elements)
+    assert count_trace_fiber(f) == ([linear[a] for a in range(p)], [p ** (m - 1)] * p)
+    closed = [predicted_square_trace_fiber(p, m, a) for a in range(p)]
+    assert count_trace_square_fiber(f) == ([square[a] for a in range(p)], closed)
 
 
 # -- the even-degree sign ---------------------------------------------------------------

@@ -297,16 +297,28 @@ def test_gauss_check_sampling_is_deterministic(tmp_path):
     [["verify-sweep", "--p", "3", "--m", "2", "2"], ["gauss-check", "--p", "3", "--m", "2"]],
     ids=["verify-sweep", "gauss-check"],
 )
-def test_json_only_commands_refuse_csv_before_running(tmp_path, monkeypatch, capsys, argv):
+def test_json_only_commands_refuse_csv_before_running(tmp_path, monkeypatch, argv):
     def must_not_run(*args, **kwargs):
-        raise AssertionError("the command ran although its format is refused")
+        raise AssertionError("the command ran although it takes no --format")
 
     monkeypatch.setattr(cli, "make_field", must_not_run)
     monkeypatch.setattr(cli, "run_sweep", must_not_run)
     out = tmp_path / "r.csv"
-    assert main([*argv, "--format", "csv", "--out", str(out)]) == 2
-    assert capsys.readouterr().err == f"error: {argv[0]} reports are JSON only\n"
+    with pytest.raises(SystemExit) as exc:
+        main([*argv, "--format", "csv", "--out", str(out)])
+    assert exc.value.code == 2
     assert not out.exists()
+
+
+def test_only_build_and_fibers_take_format():
+    parser = cli.build_parser()
+    (subcommands,) = [a for a in parser._actions if isinstance(a, argparse._SubParsersAction)]
+    with_format = {
+        name
+        for name, subparser in subcommands.choices.items()
+        if any("--format" in action.option_strings for action in subparser._actions)
+    }
+    assert with_format == {"build", "fibers"}
 
 
 def test_verify_sweep_rejects_reversed_m_range(capsys):

@@ -87,7 +87,7 @@ def test_defining_set_E_rejects_odd_degree(f27):
 @pytest.mark.parametrize("p,m", [(3, 2), (3, 4), (7, 2)])
 def test_E_size_agrees_with_square_fiber(p, m):
     f = make_field(p, m)
-    assert len(build_defining_set_E(f)) == count_trace_square_fiber(f, 0).count_enumerated - 1
+    assert len(build_defining_set_E(f)) == count_trace_square_fiber(f)[0][0] - 1
 
 
 # -- code construction --------------------------------------------------------------

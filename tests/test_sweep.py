@@ -195,12 +195,24 @@ def test_fiber_check_keeps_both_numbers_of_a_failing_row(monkeypatch):
 
 def test_fiber_check_fails_fibers_that_miss_the_field(monkeypatch):
     # every row agrees with its prediction, but the linear fibers cover 3 of 27 elements
-    monkeypatch.setattr(
-        sweep, "count_trace_fiber", lambda field, alpha: charsums.FiberCountReport(alpha, 1, 1, "")
-    )
+    monkeypatch.setattr(sweep, "count_trace_fiber", lambda field: ([1, 1, 1], [1, 1, 1]))
     report = sweep.fiber_check(make_field(3, 3))
     assert report["totals"]["linear-trace"] == 3
     assert report["ok"] is False
+
+
+def test_fiber_check_drops_a_residue_past_the_last_bin():
+    # one trace entry outside 0..p-1 is counted in no row, so the linear total misses q
+    field = make_field(3, 3)
+    table = field.trace_table.copy()
+    alpha, table[5] = int(table[5]), 3
+    field.__dict__["trace_table"] = table
+    report = sweep.fiber_check(field)
+    assert report["ok"] is False
+    assert report["totals"]["linear-trace"] == 26
+    linear = [r for r in report["rows"] if r["kind"] == "linear-trace"]
+    short = [r for r in linear if r["enumerated"] != r["predicted"]]
+    assert short == [{"kind": "linear-trace", "alpha": alpha, "enumerated": 8, "predicted": 9}]
 
 
 def test_corrupted_census_fails_ambient_dimension(monkeypatch):

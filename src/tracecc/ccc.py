@@ -1,15 +1,16 @@
 """Constant composition subcodes of the ambient trace codes.
 
-A subcode is the ambient code's distinct words whose class ids occur over
-the index set, in order of first occurrence there, kept as their rows in the
-ambient matrix; its composition is a lookup of those ids in the ambient
-code's symbol counts. Extraction keeps two
-independent routes to the minimum distance: the pairwise census (the oracle)
-and the ambient minimum weight (the shortcut justified by the difference
-argument). Both are stored so reports can compare them. The oracle compares
-one word per orbit of scaling (every index set is closed under GF(p)^*) and
-the all-ones shift (for D(alpha != 0)), each used only if a check on the
-words shows it keeps them, and is skipped above PAIRWISE_ORACLE_CAP words.
+A subcode is the ambient code's distinct words whose class ids occur over the
+index set, in order of first occurrence there, kept as their rows in the
+ambient matrix; its composition is a lookup of those ids in the ambient code's
+symbol counts. Extraction keeps two independent routes to the minimum distance,
+stored so reports can compare them: the pairwise census (the oracle) and the
+ambient minimum weight (the shortcut justified by the difference argument).
+Skipped above PAIRWISE_ORACLE_CAP words, the oracle compares one word per orbit
+of scaling (every index set is closed under GF(p)^*), the all-ones shift (for
+D(alpha != 0)) and the Frobenius coordinate permutation (D(alpha), E and every
+index set are closed under x -> x^p), each used only if a check on the words
+shows it keeps them, and builds one hit matrix per orbit of symbols.
 
 The bound evaluation is exact integer/rational arithmetic throughout;
 optimality means M * denominator == n * d with no floating point involved.
@@ -47,35 +48,68 @@ from .errors import CompositionLengthMismatch, DuplicateWords, UnsupportedDegree
 PAIRWISE_ORACLE_CAP = 5000
 
 
-def pairwise_min_distance(words) -> int:
+def pairwise_min_distance(words, coordinate_maps=()) -> int:
     """Exact minimum Hamming distance over all unordered pairs of words.
 
     Maps of the word set onto itself keep distances, so one word per orbit is
-    compared with all words: w -> w + 1 and w -> lam*w mod p (p the largest
-    symbol + 1, lam a primitive root mod p), each used if every image is a word.
+    compared with all words: w -> w + 1, w -> lam*w mod p (p the largest symbol
+    + 1, lam a primitive root mod p) and w -> w[sigma] for each coordinate
+    permutation sigma given (a trace code's Frobenius map), each used only if
+    every image is a word. One hit matrix per orbit of symbols serves them all.
     """
     w = np.ascontiguousarray(np.asarray(words, dtype=np.int8))
     if w.ndim != 2 or w.shape[0] < 2:
         raise ValueError("need a 2-d array of at least two words")
     m_words, n = w.shape
-    p = int(w.max(initial=0)) + 1 if w.min(initial=0) >= 0 else 0  # a negative symbol would wrap
-    lam = next((g for g in range(2, p) if len({pow(g, k, p) for k in range(1, p)}) == p - 1), 1)
-    maps = [(np.arange(p) + 1) % p, lam * np.arange(p) % p] if p else []  # tables over 0..p-1
-    images = [row for lut in maps for row in lut.astype(np.int8)[w]]
-    ids = row_classes([*w, *images]).reshape(-1, m_words)  # words first, so distinct ones get 0..M-1
-    if not np.array_equal(ids[0], np.arange(m_words)):
-        raise DuplicateWords("two identical words found (distance 0)")
-    perms = [image for image in ids[1:] if image.max() < m_words]  # the maps that keep W
+    symbols = range(int(w.min(initial=0)), int(w.max(initial=0)) + 1)
+    kept = _kept_maps(w, len(symbols) if symbols.start == 0 else 0, coordinate_maps)
     label, previous = np.arange(m_words), None  # ends as the least index in each orbit
     while not np.array_equal(label, previous):
-        previous, label = label, np.minimum.reduce([label] + [label[perm] for perm in perms])
+        previous, label = label, np.minimum.reduce([label] + [label[perm] for _, perm in kept])
     reps = np.flatnonzero(label == np.arange(m_words))
     matches = np.zeros((len(reps), m_words), dtype=np.float32)  # exact: counts stay below 2**24
-    for symbol in np.unique(w):
-        hits = (w == symbol).astype(np.float32)
-        matches += hits[reps] @ hits.T
+    rows_of = {}  # symbol s -> rows Q of its orbit's least symbol b with hits_s = hits_b[Q]
+    for base in (s for s in symbols if s not in rows_of):
+        rows_of[base], orbit = np.arange(m_words), [base]
+        for s in orbit:  # f(w_j) = w_P(j) gives hits_t = hits_s[P] for t = f^-1(s)
+            for inverse, perm in kept:
+                if inverse is not None and inverse[s] not in rows_of:
+                    rows_of[inverse[s]] = rows_of[s][perm]
+                    orbit.append(inverse[s])
+        hits = np.empty((m_words, n), dtype=np.float32)
+        np.equal(w, base, out=hits, casting="unsafe")  # no bool copy of the words
+        block = hits[np.concatenate([rows_of[s][reps] for s in orbit])] @ hits.T
+        for s, part in zip(orbit, block.reshape(len(orbit), len(reps), m_words)):
+            matches += part if s == base else part[:, rows_of[s]]
     matches[np.arange(len(reps)), reps] = -1.0
     return n - int(matches.max())
+
+
+def _kept_maps(w, p, coordinate_maps) -> list:
+    """(f^-1 as a symbol table, or None for a coordinate map, P) per f with f(w_j) = w_P(j)."""
+    maps = []  # (f^-1 or None, image of w under f); no np.take, which copies w to intp
+    if p:  # a negative symbol would wrap
+        lam = next((g for g in range(2, p) if len({pow(g, k, p) for k in range(1, p)}) == p - 1), 1)
+        shifted = (w + 1).view(np.uint8)  # x - p wraps above x exactly when x < p
+        np.minimum(shifted, shifted - np.uint8(p), out=shifted)
+        scaled = (lam * np.arange(p) % p).astype(np.int8)[w]  # an int8 index is cast in chunks
+        maps = [([(s - 1) % p for s in range(p)], shifted.view(np.int8))]
+        maps.append(([s * pow(lam, -1, p) % p for s in range(p)], scaled))
+    for sigma in coordinate_maps:  # only a permutation of the coordinates keeps distances
+        if np.array_equal(np.sort(sigma), np.arange(w.shape[1])):
+            maps.append((None, np.take(w, sigma, axis=1)))
+    ids = row_classes([*w, *(row for _, image in maps for row in image)]).reshape(-1, len(w))
+    if not np.array_equal(ids[0], np.arange(len(w))):  # words first, so distinct ones get 0..M-1
+        raise DuplicateWords("two identical words found (distance 0)")
+    return [(table, perm) for (table, _), perm in zip(maps, ids[1:]) if perm.max() < len(w)]
+
+
+def _frobenius_permutation(ds) -> np.ndarray:
+    """sigma with c_a[sigma] = c_(a^(1/p)): sigma(j) is the position of d_j^p in the set."""
+    powers = ds.indices
+    for _ in range(ds.field.p - 1):
+        powers = ds.field.product_indices(powers, ds.indices)
+    return np.searchsorted(ds.indices, powers)  # n or a wrong slot for a power outside it
 
 
 class CccParams(NamedTuple):
@@ -142,8 +176,9 @@ def _extract(code: TraceCode, construction: str) -> CccCode:
     composition = tuple(int(c) for c in code.counts[code.classes[index[0]]])  # of word 0
     composition_ok = bool((code.counts == composition).all(axis=1)[ids].all())
     d_ambient = minimum_distance(code)
-    oracle_runs = len(rows) <= PAIRWISE_ORACLE_CAP  # the words are gathered for it alone
-    d_pairwise = pairwise_min_distance(code.matrix[rows]) if oracle_runs else None
+    oracle_runs = len(rows) <= PAIRWISE_ORACLE_CAP  # the words and sigma are made for it alone
+    sigmas = [_frobenius_permutation(ds)] if oracle_runs else []
+    d_pairwise = pairwise_min_distance(code.matrix[rows], sigmas) if oracle_runs else None
     return CccCode(
         code,
         construction,

@@ -5,6 +5,7 @@ Frozen (n, M, d, omega) tuples were derived with the independent naive
 implementation (set dedup, per-word symbol counts, double-loop distances).
 """
 
+import tracemalloc
 from dataclasses import replace
 from fractions import Fraction
 
@@ -33,7 +34,13 @@ from tracecc import (
     predicted_ccc_first,
     predicted_ccc_second,
 )
-from tracecc.ccc import CONSTRUCTIONS, build_construction, ccc_json
+from tracecc.ccc import (
+    CONSTRUCTIONS,
+    _frobenius_permutation,
+    _kept_maps,
+    build_construction,
+    ccc_json,
+)
 from tracecc.codes import COUNT_BLOCK, symbol_counts
 
 
@@ -167,17 +174,24 @@ def test_pairwise_oracle_with_the_shift_alone():
 
 
 def test_pairwise_oracle_drops_maps_that_do_not_keep_the_words():
-    p, sub = 5, first_subcode(5, 3, 1)
+    p, m, sub = 5, 3, first_subcode(5, 3, 1)
+    sigma = _frobenius_permutation(sub.source.defining_set)
     words = sub.words.copy()
     rows = words.tolist()
     index = {tuple(w): i for i, w in enumerate(rows)}
-    # the least index in each orbit of w -> 2^a * w + c (2 is a primitive root mod 5)
-    maps = [(pow(2, a, p), c) for a in range(p - 1) for c in range(p)]
-    orbit_min = [min(index[tuple((lam * s + c) % p for s in w)] for lam, c in maps) for w in rows]
+    frobenius = [np.arange(words.shape[1])]  # sigma^b for b < m
+    while len(frobenius) < m:
+        frobenius.append(sigma[frobenius[-1]])
+    # the least index in each orbit of w -> 2^a * w[sigma^b] + c (2 is a primitive root mod 5)
+    maps = [(pow(2, a, p), c, f) for a in range(p - 1) for c in range(p) for f in frobenius]
+    orbit_min = [
+        min(index[tuple((lam * s + c) % p for s in np.take(w, f))] for lam, c, f in maps)
+        for w in rows
+    ]
     reps = [i for i, r in enumerate(orbit_min) if i == r]
     # move the last word, no representative, one coordinate closer to a nearest
     # neighbour, to a symbol no representative has there: the set stays
-    # duplicate-free but is no longer closed under either map
+    # duplicate-free but is no longer closed under any of the three maps
     last = len(words) - 1
     assert last not in reps
     dist = np.count_nonzero(words != words[last], axis=1)
@@ -190,11 +204,70 @@ def test_pairwise_oracle_drops_maps_that_do_not_keep_the_words():
         and np.any((dist == sub.d) & (words[:, k] == v))
     )
     words[last, k] = v
+    closed = {tuple(w) for w in words.tolist()}
+    for image in (np.take(words, sigma, axis=1), (words + 1) % p, 2 * words % p):
+        assert not {tuple(w) for w in image.tolist()} <= closed
     # comparing only the old representatives would miss the new closest pair
     for r in reps:
         others = np.delete(np.count_nonzero(words != words[r], axis=1), r)
         assert others.min() == sub.d
-    assert pairwise_min_distance(words) == naive_pairwise_min(words.tolist()) == sub.d - 1
+    assert pairwise_min_distance(words, [sigma]) == naive_pairwise_min(words.tolist()) == sub.d - 1
+
+
+def test_pairwise_oracle_uses_a_coordinate_map_only_if_it_is_a_permutation():
+    # sigma sends every word to a word, but words 3 and 4 both to word 2, so it
+    # does not keep distances: d(w3, w4) = 1 while their images coincide
+    words = [[0, 0, 0, 1], [1, 1, 0, 0], [1, 1, 2, 2], [2, 1, 2, 1], [2, 2, 2, 1]]
+    sigma = [3, 3, 2, 0]
+    rows = [tuple(w) for w in words]
+    assert [rows.index(tuple(w[j] for j in sigma)) for w in words] == [1, 0, 4, 2, 2]
+    assert pairwise_min_distance(words, [sigma]) == naive_pairwise_min(words) == 1
+
+
+def test_pairwise_oracle_drops_a_coordinate_permutation_that_moves_a_word_out():
+    sub = first_subcode(3, 3, 0)
+    sigma = _frobenius_permutation(sub.source.defining_set)
+    for maps, kept in [([sigma], 1), ([sigma[::-1]], 0)]:
+        assert sum(table is None for table, _ in _kept_maps(sub.words, 3, maps)) == kept
+        assert pairwise_min_distance(sub.words, maps) == naive_pairwise_min(sub.words.tolist())
+
+
+@pytest.mark.parametrize(
+    "alpha,shift,symbol_maps",
+    [
+        (0, False, 1),  # scaling alone: symbols 1..p-1 share one hit matrix
+        (2, True, 2),  # scaling and the shift: one hit matrix serves all p symbols
+        (None, False, 0),  # no map: every symbol has its own hit matrix
+    ],
+)
+def test_pairwise_oracle_kernel_per_symbol_orbit(alpha, shift, symbol_maps):
+    p = 5
+    if alpha is None:
+        words = np.unique(np.random.default_rng(3).integers(0, p, (40, 12)), axis=0)
+        maps = []
+    else:
+        sub = first_subcode(p, 3, alpha)
+        words, maps = sub.words, [_frobenius_permutation(sub.source.defining_set)]
+    assert words.max() + 1 == p
+    tables = [table for table, _ in _kept_maps(words.astype(np.int8), p, maps) if table is not None]
+    assert (len(tables), [(s - 1) % p for s in range(p)] in tables) == (symbol_maps, shift)
+    assert pairwise_min_distance(words, maps) == naive_pairwise_min(words.tolist())
+
+
+def test_pairwise_oracle_traced_peak_stays_below_ten_bytes_per_symbol():
+    # the GF(7^5) alpha = 0 subcode (M = n = 2400) with its Frobenius map, as the sweep runs it;
+    # the images kept alive through the kernel read 11.8 bytes a symbol, and an intp copy of
+    # the words (8 bytes a symbol, as np.take(table, words) makes) beside the images 10.0
+    sub = first_subcode(7, 5, 0)
+    words, sigma = sub.words, _frobenius_permutation(sub.source.defining_set)
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        pairwise_min_distance(words, [sigma])
+        peak = tracemalloc.get_traced_memory()[1] - before
+    finally:
+        tracemalloc.stop()
+    assert peak < 10 * words.size
 
 
 # -- first construction -----------------------------------------------------------------
@@ -339,7 +412,14 @@ def test_pairwise_orbit_oracle_matches_naive(p, m, construction, alpha):
     if alpha:
         assert {tuple((s + 1) % p for s in w) for w in words} == closed
     assert sub.words.max() + 1 == p  # so the oracle's maps are taken mod p
-    assert pairwise_min_distance(sub.words) == naive_pairwise_min(words)
+    # and under the Frobenius map: sigma(j) is the position of d_j^p, by scalar arithmetic
+    field, indices = sub.source.field, sub.source.defining_set.indices
+    sigma = _frobenius_permutation(sub.source.defining_set)
+    assert np.array_equal(np.sort(sigma), np.arange(sub.n))
+    assert indices[sigma].tolist() == [(field.element_at(int(d)) ** p).index for d in indices]
+    assert {tuple(w) for w in np.take(sub.words, sigma, axis=1).tolist()} == closed
+    distance = naive_pairwise_min(words)
+    assert pairwise_min_distance(sub.words) == pairwise_min_distance(sub.words, [sigma]) == distance
 
 
 # -- distance oracle agrees with the ambient shortcut -----------------------------------------

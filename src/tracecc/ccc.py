@@ -87,7 +87,7 @@ def pairwise_min_distance(words, coordinate_maps=()) -> int:
 
 def _kept_maps(w, p, coordinate_maps) -> list:
     """(f^-1 as a symbol table, or None for a coordinate map, P) per f with f(w_j) = w_P(j)."""
-    maps = []  # (f^-1 or None, image of w under f); no np.take, which copies w to intp
+    maps = []  # (f^-1 or None, image of w under f); np.take(table, w) would copy w to intp
     if p:  # a negative symbol would wrap
         lam = next((g for g in range(2, p) if len({pow(g, k, p) for k in range(1, p)}) == p - 1), 1)
         shifted = (w + 1).view(np.uint8)  # x - p wraps above x exactly when x < p

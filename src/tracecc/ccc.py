@@ -1,16 +1,18 @@
 """Constant composition subcodes of the ambient trace codes.
 
-A subcode is the ambient code's distinct words whose class ids occur over the
-index set, in order of first occurrence there, kept as their rows in the
-ambient matrix; its composition is a lookup of those ids in the ambient code's
-symbol counts. Extraction keeps two independent routes to the minimum distance,
+A subcode is the ambient code's distinct words over the index set, which must
+be a union of cosets of the kernel {a : c_a = 0}; each word is kept as the least
+element of its coset, in sorted order, and its composition is read from the
+ambient code's symbol-count table over the index set. Only the oracle's words
+are built. Extraction keeps two independent routes to the minimum distance,
 stored so reports can compare them: the pairwise census (the oracle) and the
 ambient minimum weight (the shortcut justified by the difference argument).
 Skipped above PAIRWISE_ORACLE_CAP words, the oracle compares one word per orbit
 of scaling (every index set is closed under GF(p)^*), the all-ones shift (for
-D(alpha != 0)) and the Frobenius coordinate permutation (D(alpha), E and every
-index set are closed under x -> x^p), each used only if a check on the words
-shows it keeps them, and builds one hit matrix per orbit of symbols.
+D(alpha != 0)) and the Frobenius coordinate permutation (one gather through
+the field's log table; D(alpha), E and every index set are closed under
+x -> x^p), each used only if a check on the words shows it keeps them, and
+builds one hit matrix per orbit of symbols.
 
 The bound evaluation is exact integer/rational arithmetic throughout;
 optimality means M * denominator == n * d with no floating point involved.
@@ -106,9 +108,8 @@ def _kept_maps(w, p, coordinate_maps) -> list:
 
 def _frobenius_permutation(ds) -> np.ndarray:
     """sigma with c_a[sigma] = c_(a^(1/p)): sigma(j) is the position of d_j^p in the set."""
-    powers = ds.indices
-    for _ in range(ds.field.p - 1):
-        powers = ds.field.product_indices(powers, ds.indices)
+    field = ds.field
+    powers = field.powers[field.p * field.log[ds.indices] % (field.q - 1)]
     return np.searchsorted(ds.indices, powers)  # n or a wrong slot for a power outside it
 
 
@@ -125,7 +126,7 @@ class CccCode:
 
     source: TraceCode
     construction: str  # a key of CONSTRUCTIONS
-    rows: np.ndarray  # ambient row of each word, in order of first occurrence over the index set
+    rows: np.ndarray  # least element index of each kernel coset in the index set, sorted
     composition: tuple  # of word 0
     composition_ok: bool  # every word has word 0's composition
     index_count: int
@@ -136,7 +137,7 @@ class CccCode:
 
     @property
     def words(self) -> np.ndarray:
-        return self.source.matrix[self.rows]
+        return self.source.words(self.rows)
 
     @property
     def n(self) -> int:
@@ -171,14 +172,14 @@ def _extract(code: TraceCode, construction: str) -> CccCode:
         raise ValueError(f"{construction} subcodes come from a {entry.defining_set} code")
     field = code.field
     index = np.flatnonzero(entry.index_mask(field))
-    ids, first = np.unique(code.classes[index], return_index=True)
-    rows = index[np.sort(first)]
-    composition = tuple(int(c) for c in code.counts[code.classes[index[0]]])  # of word 0
-    composition_ok = bool((code.counts == composition).all(axis=1)[ids].all())
+    rows = code.coset_rows(index)
+    counts = code.counts[index]
+    composition = tuple(int(c) for c in counts[0])  # of word 0
+    composition_ok = bool((counts == composition).all())
     d_ambient = minimum_distance(code)
     oracle_runs = len(rows) <= PAIRWISE_ORACLE_CAP  # the words and sigma are made for it alone
     sigmas = [_frobenius_permutation(ds)] if oracle_runs else []
-    d_pairwise = pairwise_min_distance(code.matrix[rows], sigmas) if oracle_runs else None
+    d_pairwise = pairwise_min_distance(code.words(rows), sigmas) if oracle_runs else None
     return CccCode(
         code,
         construction,

@@ -28,6 +28,7 @@ from .sweep import SweepSpec, exceeds_q_cap, fiber_check, gauss_check, judge, ru
 EXIT_OK = 0
 EXIT_MISMATCH = 1
 EXIT_BAD_PARAMS = 2
+EMIT_CODEWORDS_MAX_BYTES = 100_000_000  # most symbols (one byte each) --emit-codewords writes
 
 
 def _parse_modulus(text):
@@ -52,6 +53,9 @@ def _field(args):
 def _cmd_build(args):
     field = _field(args)
     code, sub = build_construction(field, args.construction, args.alpha)
+    emitted = (code.distinct_count + sub.M) * code.length  # the build holds no codeword matrix
+    if args.emit_codewords and emitted > EMIT_CODEWORDS_MAX_BYTES:
+        raise ValueError(f"--emit-codewords would write {emitted:,} symbols, over the limit")
     failed = judge(sub).failed  # the same verdict as the instance's sweep record
     if args.format == "csv":
         return weight_table_csv(weight_distribution(code)), None, not failed

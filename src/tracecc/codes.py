@@ -1,18 +1,20 @@
 """Defining sets, ambient trace codes over GF(p), and weight distributions.
 
 A trace code is the linear code whose codeword for each index element a is
-(Tr(a*d1), ..., Tr(a*dn)) with the d's running over a defining set in
-canonical field order. Its rows are hashed once, into the class ids that
-its distinct words and every subcode are read from, and each distinct word's
-symbols are counted once, into the table that its weight (n minus its count
-of 0) and every subcode's composition are read from. The exhaustive weight
-census shares no logic with the closed-form predictors it is checked against.
+c_a = (Tr(a*d1), ..., Tr(a*dn)) with the d's running over a defining set in
+canonical field order. GF(q)^* is cyclic, so the symbol counts of all q words
+are one FFT correlation of length q - 1 per symbol, rounded only inside a
+stated margin. Each weight (n minus the count of 0), the kernel {a : c_a = 0},
+whose cosets are the distinct words, and every subcode's composition are read
+from that table; words are built only on request, as digits[rows] @ gen mod p.
+The exhaustive weight census shares no logic with the closed-form predictors.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -27,7 +29,7 @@ from .errors import (
 )
 from .gfpm import Field, FieldElement
 
-COUNT_BLOCK = 256  # rows counted by one bincount in symbol_counts
+ROUNDING_MARGIN = 0.25  # farthest a float64 correlation may lie from an integer count
 
 
 @dataclass(frozen=True)
@@ -98,38 +100,59 @@ def build_defining_set_E(field: Field) -> DefiningSet:
 
 
 class TraceCode:
-    """All q indexed codewords, their class ids and the distinct view.
+    """The q indexed codewords of a trace code, held as their symbol counts.
 
-    `matrix[i]` is the codeword of the element with canonical index i and
-    `classes[i]` its class id (see row_classes); class k first occurs at row `first[k]`.
+    `counts[a, s]` counts the symbols s in the codeword of the element with index a;
+    `kernel` lists the a whose codeword is zero, so each word repeats over a + kernel.
     """
 
-    def __init__(self, defining_set, matrix, classes, first, dimension):
+    def __init__(self, defining_set, counts, kernel, dimension):
         self.defining_set = defining_set
         self.field = defining_set.field
-        self.matrix = matrix
-        self.classes = classes
-        self.first = first
-        self.counts = symbol_counts(matrix, first, self.field.p)  # [k, s]: s symbols in class k
-        self.weights = self.length - self.counts[:, 0]  # of each distinct word
+        self.length = len(defining_set)
+        self.counts = counts
+        self.kernel = kernel
+        self.distinct_count = self.field.q // len(kernel)
+        self.weights = self.length - counts[:, 0]  # of each indexed word
         self.dimension = dimension
 
-    @property
-    def length(self) -> int:
-        return self.matrix.shape[1]
+    def words(self, rows) -> np.ndarray:
+        """(len(rows), n) int8 codewords of the listed element indices: digits[rows] @ gen mod p.
 
-    @property
-    def distinct_count(self) -> int:
-        return len(self.first)
+        gen = G @ digits(D).T with G the trace form; the product is summed one digit at
+        a time in 8 bits, so every temporary holds one byte a symbol.
+        """
+        field, p = self.field, self.field.p
+        gen = field.trace_form @ field.digits[self.defining_set.indices].T.astype(np.int64)
+        out = np.zeros((len(rows), self.length), dtype=np.uint8)
+        for gen_k, digit in zip(gen, field.digits[rows].T):
+            out += (np.arange(p)[:, None] * gen_k % p).astype(np.uint8)[digit]
+            # entries are below 2p, and x - p wraps above x in uint8 exactly when x < p
+            np.minimum(out, out - np.uint8(p), out=out)
+        return out.view(np.int8)
+
+    @cached_property
+    def matrix(self) -> np.ndarray:
+        """All q codewords, row i that of the element with canonical index i."""
+        return self.words(np.arange(self.field.q))
+
+    def coset_rows(self, index) -> np.ndarray:
+        """The least element of each kernel coset in the sorted `index`, a union of cosets."""
+        index, k = np.asarray(index, dtype=np.int64), len(self.kernel)
+        cosets = self.field.sum_indices(index.repeat(k), np.tile(self.kernel, len(index)))
+        rows = index[cosets.reshape(-1, k).min(axis=1) == index]
+        if not np.isin(cosets, index).all() or len(rows) * k != len(index):
+            raise IdentityViolation("the index set is not a union of cosets of the kernel")
+        return rows
 
     @property
     def distinct_words(self) -> np.ndarray:
-        return self.matrix[self.first]
+        return self.words(self.coset_rows(np.arange(self.field.q)))
 
     def codeword(self, a: FieldElement) -> np.ndarray:
         if a.field != self.field:
             raise FieldMismatch("index element belongs to a different field")
-        return self.matrix[a.index].copy()
+        return self.words([a.index])[0]
 
     def __repr__(self):
         return (
@@ -145,50 +168,48 @@ def row_classes(rows) -> np.ndarray:
     return np.fromiter(ids, np.int64, count=len(rows))  # allocated before the first key is kept
 
 
-def symbol_counts(matrix: np.ndarray, rows, p: int) -> np.ndarray:
-    """Count of each symbol 0..p-1 in each listed row, COUNT_BLOCK rows per bincount."""
-    counts = np.empty((len(rows), p), dtype=np.min_scalar_type(matrix.shape[1]))
-    offsets = p * np.arange(COUNT_BLOCK)[:, None]  # row r of a block counts into bins r*p + s
-    for start in range(0, len(rows), COUNT_BLOCK):
-        block = matrix[rows[start : start + COUNT_BLOCK]]
-        if block.size and not 0 <= block.min() <= block.max() < p:
-            raise ValueError(f"a symbol lies outside 0..{p - 1}")
-        out = counts[start : start + len(block)]
-        out.flat = np.bincount((block + offsets[: len(block)]).ravel(), minlength=out.size)
+def trace_count_table(ds: DefiningSet) -> np.ndarray:
+    """(q, p) table of N[a, s] = #{d in D : Tr(a*d) = s}, the symbol counts of every word.
+
+    For a = g^i, N[a, s] = sum_k 1_D(g^k) [Tr(g^(i+k)) = s], one cyclic correlation per
+    symbol against the field's trace spectra, refused unless every value lies within
+    ROUNDING_MARGIN of an integer and every row sums to n.
+    """
+    field, n = ds.field, len(ds)
+    member = np.zeros(2 * (field.trace_spectra.shape[1] - 1))
+    member[field.log[ds.indices]] = 1.0
+    spectrum, corr = np.conj(np.fft.rfft(member)), np.empty((field.p, field.q - 1))
+    for s, row in enumerate(field.trace_spectra):  # one symbol at a time keeps one transform alive
+        corr[s] = np.fft.irfft(spectrum * row, len(member))[: field.q - 1]
+    table = np.rint(corr)
+    if np.abs(corr - table).max() > ROUNDING_MARGIN or (table.sum(axis=0) != n).any():
+        raise IdentityViolation(f"the symbol-count correlations over {field!r} are not counts")
+    counts = np.zeros((field.q, field.p), dtype=np.min_scalar_type(n))
+    counts[0, 0] = n  # the word of zero
+    counts[field.powers] = table.T
     return counts
 
 
 def build_trace_code(ds: DefiningSet) -> TraceCode:
-    """Materialize every indexed codeword of the trace construction.
+    """Count the symbols of every codeword of the trace construction, building none.
 
-    Row k of gen = G @ digits(D).T (mod p), G the trace form, is the codeword
-    of x^k, and the codeword of sum c_k x^k is sum c_k gen[k] (mod p). The
-    matrix is built from the last digit to c_0, the most significant, in
-    8-bit adds, each followed by one conditional subtraction of p.
+    The kernel {a : N[a, 0] = n} of a -> c_a must have a power of p elements.
     """
-    field = ds.field
-    p, m = field.p, field.m
-    n = len(ds)
-    gen = (field.trace_form @ field.digits[ds.indices].T.astype(np.int64)) % p
-    matrix = np.zeros((1, n), dtype=np.uint8)
-    for k in reversed(range(m)):
-        mult = ((np.arange(p)[:, None] * gen[k]) % p).astype(np.uint8)  # c * gen[k] for c < p
-        matrix = (mult[:, None, :] + matrix[None]).reshape(-1, n)
-        # entries are below 2p, and x - p wraps above x in uint8 exactly when x < p
-        np.minimum(matrix, matrix - np.uint8(p), out=matrix)
-    matrix = matrix.view(np.int8)
-    classes = row_classes(matrix)
-    first = np.unique(classes, return_index=True)[1]
-    count = len(first)
-    dimension = round(math.log(count, p))
-    if p**dimension != count:
-        raise IdentityViolation(f"{count} distinct codewords is not a power of {p}")
-    return TraceCode(ds, matrix, classes, first, dimension)
+    p, m = ds.field.p, ds.field.m
+    counts = trace_count_table(ds)
+    kernel = np.flatnonzero(counts[:, 0] == len(ds))
+    dimension = m - round(math.log(len(kernel), p))
+    if p ** (m - dimension) != len(kernel):
+        raise IdentityViolation(f"a kernel of {len(kernel)} elements is not a power of {p}")
+    return TraceCode(ds, counts, kernel, dimension)
 
 
 def weight_distribution(code: TraceCode) -> WeightDistribution:
-    """Exhaustive weight census over the distinct codewords."""
-    return WeightDistribution.from_counts(dict(enumerate(np.bincount(code.weights))))
+    """Exhaustive weight census: each distinct word occurs once per element of the kernel."""
+    census, rest = np.divmod(np.bincount(code.weights), len(code.kernel))
+    if rest.any():
+        raise IdentityViolation(f"a weight count is not a multiple of {len(code.kernel)}")
+    return WeightDistribution.from_counts(dict(enumerate(census)))
 
 
 def minimum_distance(code: TraceCode) -> int:

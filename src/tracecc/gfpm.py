@@ -237,6 +237,55 @@ class Field:
         table.setflags(write=False)
         return table
 
+    @cached_property
+    def powers(self) -> np.ndarray:
+        """(q-1,) int64 indices of g^0, ..., g^(q-2), g the first primitive element by index.
+
+        g passes a scalar pow test against each prime factor of q - 1; the powers,
+        built by doubling with product_indices, must list every nonzero index once.
+        """
+        order = self.q - 1
+        factors = [r for r in range(2, order + 1) if order % r == 0 and _is_prime(r)]
+        candidates = (i for i in range(1, self.q) if all(
+            self.element_at(i) ** (order // r) != self.one for r in factors))  # fmt: skip
+        g = next(candidates, self.one.index)  # in a ring that is no field none may pass
+        powers = np.array([self.one.index, g])[:order]
+        while len(powers) < order:  # g^L times g^0 .. g^(L-1) gives the next L powers
+            block, step = powers[: order - len(powers)], self.product_indices(powers[-1:], [g])
+            powers = np.append(powers, self.product_indices(block, step.repeat(len(block))))
+        if not np.array_equal(np.sort(powers), np.arange(1, self.q)):
+            raise IdentityViolation(f"the powers of {self.element_at(g)!r} miss a nonzero element")
+        powers.setflags(write=False)
+        return powers
+
+    @cached_property
+    def log(self) -> np.ndarray:
+        """(q,) int64 discrete logarithm to the base g: powers[log[x]] = x; log[0] is -1."""
+        log = np.full(self.q, -1)
+        log[self.powers] = np.arange(self.q - 1)
+        log.setflags(write=False)
+        return log
+
+    @cached_property
+    def trace_spectra(self) -> np.ndarray:
+        """(p, L/2 + 1) rfft of [Tr(g^j) = s] over two periods of g, one row per symbol s.
+
+        L is the least even 2^a 3^b 5^c >= 2(q-1): a correlation of length q - 1
+        against a row never wraps, and pocketfft stays on its fast radices.
+        """
+        exponents = range(self.q.bit_length() + 2)
+        smooth = {2**a * 3**b * 5**c for a in exponents[1:] for b in exponents for c in exponents}
+        length = min(n for n in smooth if n >= 2 * (self.q - 1))
+        symbols = np.tile(self.trace_table[self.powers], 2) == np.arange(self.p)[:, None]
+        spectra = np.fft.rfft(symbols, length)
+        spectra.setflags(write=False)
+        return spectra
+
+    def sum_indices(self, a, b) -> np.ndarray:
+        """(n,) int64 indices of a[i] + b[i], for two length-n arrays of element indices."""
+        digits = (self.digits[a].astype(np.int16) + self.digits[b]) % self.p
+        return digits @ np.array(self._index_weights, dtype=np.int64)
+
     def product_indices(self, a, b) -> np.ndarray:
         """(n,) int64 indices of a[i] * b[i], for two length-n arrays of element indices.
 

@@ -240,8 +240,8 @@ def run_sweep(spec: SweepSpec) -> VerificationReport:
     for construction, p, m, alpha, reason in plan_sweep(spec):
         record = InstanceResult(construction, p, m, alpha=alpha, status="skip", reason=reason)
         if not reason:
-            if (p, m) not in fields:
-                fields[p, m] = make_field(p, m)
+            if (p, m) not in fields:  # the plan runs one field at a time, so only its tables stay
+                fields = {(p, m): make_field(p, m)}
             try:
                 if construction == "first":
                     record = verify_first_instance(fields[p, m], alpha)

@@ -1,3 +1,4 @@
+import numpy as np
 import pytest
 
 from tracecc import SweepSpec, make_field, run_sweep
@@ -35,3 +36,14 @@ def sweep_fields():
 def full_sweep_report():
     """The default full sweep; shared by the acceptance tests."""
     return run_sweep(SweepSpec())
+
+
+def spike_spectra(field, offset):
+    """Put the field's trace spectra off by a spike of `offset` at the start of the
+    second period of symbol 1's sequence: N[g^i, 1] moves by the offset for
+    every i with log d = q - 1 - i, d in the defining set."""
+    spectra = field.trace_spectra.copy()
+    spike = np.zeros(2 * (spectra.shape[1] - 1))
+    spike[field.q - 1] = offset
+    spectra[1] += np.fft.rfft(spike)
+    field.__dict__["trace_spectra"] = spectra  # where the cached property keeps it

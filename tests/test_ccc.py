@@ -17,6 +17,7 @@ from tracecc import (
     CompositionLengthMismatch,
     DegenerateSet,
     DuplicateWords,
+    IdentityViolation,
     OddDegree,
     SweepSpec,
     UnsupportedDegree,
@@ -41,7 +42,8 @@ from tracecc.ccc import (
     build_construction,
     ccc_json,
 )
-from tracecc.codes import COUNT_BLOCK, symbol_counts
+
+from conftest import SWEEP_POINTS
 
 
 def naive_pairwise_min(words):
@@ -66,40 +68,32 @@ def second_subcode(p, m, which):
 # -- composition vectors -----------------------------------------------------------
 
 
-def counts_of(words, p):
-    """symbol_counts over every row of words, as nested lists."""
-    return symbol_counts(words, np.arange(len(words)), p).tolist()
-
-
-def test_composition_of_zero_word():
-    assert counts_of(np.zeros((1, 6), dtype=np.int8), 3) == [[6, 0, 0]]
+def test_composition_of_zero_word(f27):
+    code = build_trace_code(build_defining_set_D(f27, 0))
+    # zero and the rest of the kernel (the constants) index the zero word
+    assert code.counts[code.kernel].tolist() == [[8, 0, 0]] * 3
     # the table takes the smallest unsigned type that holds the length
-    assert symbol_counts(np.zeros((1, 255), dtype=np.int8), [0], 3).dtype == np.uint8
-    assert symbol_counts(np.zeros((1, 256), dtype=np.int8), [0], 3).tolist() == [[256, 0, 0]]
+    assert code.counts.dtype == np.uint8
+    wide = build_trace_code(build_defining_set_D(make_field(7, 4), 1))
+    assert wide.counts.dtype == np.uint16 and wide.counts[0].tolist() == [343] + [0] * 6
 
 
-def test_composition_simple_word():
-    assert counts_of(np.array([[1, 2, 0, 1]], dtype=np.int8), 3) == [[1, 2, 1]]
-
-
-@pytest.mark.parametrize("bad_row", [COUNT_BLOCK - 1, COUNT_BLOCK])
-def test_composition_violation_at_block_boundary(bad_row):
-    # every row a cyclic shift of one word, and M not a multiple of the block size
-    base = np.array([0, 0, 1, 1, 2, 2], dtype=np.int8)
-    words = np.stack([np.roll(base, r) for r in range(2 * COUNT_BLOCK + 88)])
-    assert counts_of(words, 3) == [[2, 2, 2]] * len(words)
-    words[bad_row, 0] = (words[bad_row, 0] + 1) % 3
-    counts = counts_of(words, 3)
-    assert counts == [np.bincount(w, minlength=3).tolist() for w in words]
-    assert [r for r, row in enumerate(counts) if row != [2, 2, 2]] == [bad_row]
+def test_composition_simple_word(f27):
+    code = build_trace_code(build_defining_set_D(f27, 1))
+    a = f27.element([1, 2, 0])
+    assert code.counts[a.index].tolist() == np.bincount(code.codeword(a), minlength=3).tolist()
 
 
 @pytest.mark.parametrize("symbol", [3, -1])
 def test_composition_refuses_foreign_symbol(symbol):
-    words = np.array([[0, 1, 2], [2, 1, 0]], dtype=np.int8)
-    words[1, 1] = symbol
-    with pytest.raises(ValueError):
-        counts_of(words, 3)
+    # a trace value outside 0..p-1 is counted under no symbol, so rows fall short of n
+    field = make_field(3, 3)
+    ds = build_defining_set_D(field, 1)
+    trace = field.trace_table.copy()
+    trace[5] = symbol
+    field.__dict__["trace_table"] = trace  # the cached table the spectra are built from
+    with pytest.raises(IdentityViolation, match="not counts"):
+        build_trace_code(ds)
 
 
 @pytest.mark.parametrize("p,m,construction,alpha", [(3, 3, "first", 1), (3, 4, "second-S", None)])
@@ -107,22 +101,41 @@ def test_one_perturbed_count_fails_the_composition_check(p, m, construction, alp
     code, sub = build_construction(make_field(p, m), construction, alpha)
     assert sub.composition_ok
     index = np.flatnonzero(CONSTRUCTIONS[construction].index_mask(code.field))
-    word0, subcode_classes = code.classes[index[0]], set(code.classes[index].tolist())
-    outside = next(k for k in range(code.distinct_count) if k not in subcode_classes)
-    code.counts[outside] = [code.length] + [0] * (p - 1)  # a class outside the subcode is not read
+    outside = np.setdiff1d(np.arange(code.field.q), index)[-1]
+    assert code.counts[outside].tolist() != [code.length] + [0] * (p - 1)
+    code.counts[outside] = [code.length] + [0] * (p - 1)  # a row outside the index set is not read
     again = ccc._extract(code, construction)
     assert again.composition_ok and again.composition == sub.composition
-    other = code.classes[index[-1]]  # a subcode word other than word 0
-    assert other != word0
-    code.counts[other, 0] += 1
+    code.counts[index[-1], 0] += 1  # a subcode word other than word 0
     again = ccc._extract(code, construction)
     assert again.composition_ok is False
     assert again.composition == sub.composition
-    code.counts[other, 0] -= 1
-    code.counts[word0, 0] += 1  # the reported composition is word 0's
+    code.counts[index[-1], 0] -= 1
+    code.counts[index[0], 0] += 1  # the reported composition is word 0's
     again = ccc._extract(code, construction)
     assert again.composition_ok is False
     assert again.composition == (sub.composition[0] + 1,) + sub.composition[1:]
+
+
+def test_constant_composition_guard(monkeypatch):
+    # over D(1) the constants index the all-c words, of another composition than the rest
+    code, sub = build_construction(make_field(3, 3), "first", 1)
+    assert sub.composition_ok and sub.M == 24
+    entry = CONSTRUCTIONS["first"]
+    every_nonzero = entry._replace(index_mask=lambda field: np.arange(field.q) > 0)
+    monkeypatch.setitem(CONSTRUCTIONS, "first", every_nonzero)
+    wider = ccc._extract(code, "first")
+    assert wider.composition_ok is False and wider.M == 26
+
+
+def test_index_set_must_be_a_union_of_kernel_cosets(monkeypatch):
+    # the D(0) kernel is the prime field {0, 9, 18}: x^2 + {0, 1, 2} is one coset, {1} is not
+    code = build_trace_code(build_defining_set_D(make_field(3, 3), 0))
+    assert code.coset_rows([1, 10, 19]).tolist() == [1]
+    one = CONSTRUCTIONS["first"]._replace(index_mask=lambda field: np.arange(field.q) == 9)
+    monkeypatch.setitem(CONSTRUCTIONS, "first", one)
+    with pytest.raises(IdentityViolation, match="union of cosets"):
+        ccc._extract(code, "first")
 
 
 # -- pairwise distance oracle ---------------------------------------------------------
@@ -222,6 +235,19 @@ def test_pairwise_oracle_uses_a_coordinate_map_only_if_it_is_a_permutation():
     rows = [tuple(w) for w in words]
     assert [rows.index(tuple(w[j] for j in sigma)) for w in words] == [1, 0, 4, 2, 2]
     assert pairwise_min_distance(words, [sigma]) == naive_pairwise_min(words) == 1
+
+
+@pytest.mark.parametrize("p,m", SWEEP_POINTS)
+def test_frobenius_permutation_matches_repeated_products(sweep_fields, p, m):
+    field = sweep_fields[p, m]
+    sets = [build_defining_set_D(field, alpha) for alpha in range(p)]
+    if m % 2 == 0 and (p, m) != (5, 2):  # E is empty over GF(5^2)
+        sets.append(build_defining_set_E(field))
+    for ds in sets:
+        powers = ds.indices
+        for _ in range(p - 1):
+            powers = field.product_indices(powers, ds.indices)
+        assert _frobenius_permutation(ds).tolist() == np.searchsorted(ds.indices, powers).tolist()
 
 
 def test_pairwise_oracle_drops_a_coordinate_permutation_that_moves_a_word_out():
@@ -558,13 +584,6 @@ def test_bound_checks_can_fail(construction, m, alpha, check, corrupt):
 
 
 # -- internals and serialization -----------------------------------------------------------------
-
-
-def test_constant_composition_guard():
-    words = np.array([[0, 1, 2], [0, 0, 1]], dtype=np.int8)
-    assert counts_of(words, 3) == [[1, 1, 1], [2, 1, 0]]
-    assert counts_of(words[:1], 3) == [[1, 1, 1]]
-    assert symbol_counts(words, [1], 3).tolist() == [[2, 1, 0]]  # only the listed rows
 
 
 def test_ccc_json_shape():

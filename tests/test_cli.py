@@ -95,6 +95,22 @@ def test_build_emit_codewords_p11_separates_symbols(tmp_path):
         assert [int(s) < 11 for s in string.split(",")] == [True] * n
 
 
+def test_build_emit_codewords_over_the_limit_exits_2(tmp_path, monkeypatch, capsys):
+    # 3^2 second-S: 9 ambient words and 4 subcode words of length 4, 52 symbols
+    monkeypatch.setattr(cli, "EMIT_CODEWORDS_MAX_BYTES", 51)
+    built = property(lambda code: pytest.fail("an ambient word was built"))
+    monkeypatch.setattr(codes.TraceCode, "distinct_words", built)
+    out = tmp_path / "b.json"
+    argv = ["build", "--p", "3", "--m", "2", "--construction", "second-S", "--out", str(out)]
+    assert main(argv + ["--emit-codewords"]) == 2
+    assert "--emit-codewords would write 52 symbols, over the limit" in capsys.readouterr().err
+    assert not out.exists()
+    assert main(argv) == 0  # the limit is on the emitted words alone
+    monkeypatch.undo()
+    monkeypatch.setattr(cli, "EMIT_CODEWORDS_MAX_BYTES", 52)  # exactly at the limit
+    assert main(argv + ["--emit-codewords"]) == 0
+
+
 def test_build_custom_modulus(tmp_path):
     code, doc = run_json(
         tmp_path,
@@ -449,14 +465,14 @@ def test_fibers_wrong_prediction_exits_1(tmp_path, monkeypatch, fmt):
 
 @pytest.mark.parametrize("fmt", ["json", "csv"])
 def test_build_composition_violation_exits_1(tmp_path, monkeypatch, fmt):
-    count = codes.symbol_counts
+    count = codes.trace_count_table
 
-    def perturbed(matrix, rows, p):  # the last distinct word, not word 0, gets one more 1
-        counts = count(matrix, rows, p)
+    def perturbed(ds):  # the last element's word, not word 0, gets one more 1
+        counts = count(ds)
         counts[-1, 1] += 1
         return counts
 
-    monkeypatch.setattr(codes, "symbol_counts", perturbed)
+    monkeypatch.setattr(codes, "trace_count_table", perturbed)
     out = tmp_path / f"b.{fmt}"
     argv = ["build", "--p", "3", "--m", "3", "--construction", "first", "--alpha", "0"]
     assert main(argv + ["--format", fmt, "--out", str(out)]) == 1

@@ -29,6 +29,8 @@ from tracecc import (
 from tracecc.ccc import CONSTRUCTIONS, build_construction
 from tracecc.codes import trace_code_json, weight_table_csv
 
+from conftest import SWEEP_POINTS, spike_spectra
+
 
 def elements(ds):
     return [ds.field.element_at(int(i)) for i in ds.indices]
@@ -148,15 +150,34 @@ def test_codewords_match_naive_evaluation_f49(f49):
 
 
 def test_dimension_is_checked(f27, monkeypatch):
-    dedupe = codes.row_classes
+    count = codes.trace_count_table
 
-    def merged(matrix):  # the last class folded into class 0: one distinct word fewer
-        classes = dedupe(matrix)
-        return np.where(classes == classes.max(), 0, classes)
+    def widened(ds):  # one more element whose word counts as zero: a kernel of p^k + 1 elements
+        counts = count(ds)
+        counts[-1] = [len(ds)] + [0] * (ds.field.p - 1)
+        return counts
 
-    monkeypatch.setattr(codes, "row_classes", merged)
-    with pytest.raises(IdentityViolation):
+    monkeypatch.setattr(codes, "trace_count_table", widened)
+    with pytest.raises(IdentityViolation, match="not a power of 3"):
         build_trace_code(build_defining_set_D(f27, 1))
+
+
+@pytest.mark.parametrize("offset", [0.3, -0.3])
+def test_correlation_off_an_integer_is_refused(offset):
+    field = make_field(3, 3)
+    ds = build_defining_set_D(field, 1)
+    spike_spectra(field, offset)
+    with pytest.raises(IdentityViolation, match="not counts"):
+        build_trace_code(ds)
+
+
+def test_census_must_repeat_once_per_kernel_element(f27):
+    code = build_trace_code(build_defining_set_D(f27, 0))
+    assert weight_distribution(code).as_dict() == {0: 1, 6: 8}
+    code.weights = code.weights.copy()
+    code.weights[1] = 0  # one element more of weight 0, and one fewer of weight 6
+    with pytest.raises(IdentityViolation, match="not a multiple of 3"):
+        weight_distribution(code)
 
 
 @pytest.mark.parametrize("builder", ["D0", "D1", "E"])
@@ -224,18 +245,21 @@ def test_census_matches_naive_recount(f9):
     assert weight_distribution(code).as_dict() == recount
 
 
-@pytest.mark.parametrize("p,m", [(3, 2), (3, 3), (3, 4), (5, 2), (5, 3)])
-def test_weights_from_symbol_counts_match_count_nonzero(p, m):
+@pytest.mark.parametrize("p,m", SWEEP_POINTS)
+def test_weights_from_symbol_counts_match_count_nonzero(sweep_fields, p, m):
+    # the correlation table against a bincount of every word of the lazily built matrix
     built = 0
     for construction in CONSTRUCTIONS:
         for alpha in range(p) if construction == "first" else [None]:
             try:
-                code, _ = build_construction(make_field(p, m), construction, alpha)
+                code, _ = build_construction(sweep_fields[p, m], construction, alpha)
             except (DegenerateSet, OddDegree):  # E needs an even degree and is empty for 5^2
                 continue
-            words = code.distinct_words
+            words = code.matrix
             assert code.weights.tolist() == np.count_nonzero(words, axis=1).tolist()
-            assert code.counts.tolist() == [np.bincount(w, minlength=p).tolist() for w in words]
+            for s in range(p):
+                assert code.counts[:, s].tolist() == np.count_nonzero(words == s, axis=1).tolist()
+            assert np.flatnonzero(~words.any(axis=1)).tolist() == code.kernel.tolist()
             built += 1
     assert built == p + 2 * (m % 2 == 0 and (p, m) != (5, 2))
 

@@ -255,6 +255,46 @@ def test_product_indices_match_naive_oracle(p, m):
     assert f.product_indices(a, b).tolist() == expected
 
 
+@pytest.mark.parametrize("p,m", [(3, 3), (5, 2), (7, 3)])
+def test_sum_indices_match_scalar_sums(p, m):
+    f = make_field(p, m)
+    rng = random.Random(p * 100 + m)
+    a = [rng.randrange(f.q) for _ in range(300)]
+    b = [rng.randrange(f.q) for _ in range(300)]
+    expected = [(f.element_at(i) + f.element_at(j)).index for i, j in zip(a, b)]
+    assert f.sum_indices(a, b).tolist() == expected
+
+
+@pytest.mark.parametrize("p,m", [(3, 1), (3, 2), (3, 3), (3, 4), (5, 2), (7, 2)])
+def test_powers_and_log_match_scalar_powers(p, m):
+    f = make_field(p, m)
+    g = f.element_at(int(f.powers[1]))
+    assert f.powers.tolist() == [(g**k).index for k in range(f.q - 1)]
+    assert f.log[0] == -1
+    assert [int(f.powers[f.log[x]]) for x in range(1, f.q)] == list(range(1, f.q))
+
+    def order(x):
+        return next(k for k in range(1, f.q) if x**k == f.one)
+
+    # g is the first element of order q - 1 in canonical order
+    assert order(g) == f.q - 1
+    assert all(order(f.element_at(i)) < f.q - 1 for i in range(1, g.index))
+
+
+def test_a_repeated_power_is_refused():
+    f = make_field(3, 3)
+    product = f.product_indices
+
+    def stuck(a, b):  # the last product of each doubling repeats the first
+        out = product(a, b)
+        out[-1] = out[0]
+        return out
+
+    f.product_indices = stuck
+    with pytest.raises(IdentityViolation, match="miss a nonzero element"):
+        f.log
+
+
 @pytest.mark.parametrize("p", [131, 257])
 def test_rejects_characteristic_above_int8(p):
     with pytest.raises(ValueError, match="above 127"):
@@ -312,8 +352,9 @@ def test_square_count_and_table(p, m):
         lambda ring: ring.basis_element(1).trace(),
         lambda ring: ring.quadratic_character_table,
         lambda ring: quadratic_character(ring.element([1, 1])),
+        lambda ring: ring.log,  # 1 + x passes the scalar test for order 8, but (1 + x)^3 = 1 + x
     ],
-    ids=["trace", "square-count", "euler"],
+    ids=["trace", "square-count", "euler", "powers"],
 )
 def test_field_identities_are_checked(check):
     with pytest.raises(IdentityViolation):

@@ -10,6 +10,8 @@ from tracecc import (
 )
 from tracecc.codes import WeightDistribution
 
+from conftest import spike_spectra
+
 
 def test_each_field_is_built_once(monkeypatch):
     built = []
@@ -53,6 +55,24 @@ def test_bad_spec_is_refused_before_any_instance(monkeypatch, spec, error):
         monkeypatch.setattr(sweep, "DEFAULT_Q_CAP", q_cap)
     with pytest.raises(error):
         run_sweep(spec)
+
+
+def test_a_count_table_off_its_margin_fails_its_instances_and_the_sweep_goes_on(monkeypatch):
+    make_field = sweep.make_field
+
+    def spiked(p, m, modulus=None):
+        field = make_field(p, m, modulus)
+        if (p, m) == (3, 3):
+            spike_spectra(field, 0.3)
+        return field
+
+    monkeypatch.setattr(sweep, "make_field", spiked)
+    report = run_sweep(SweepSpec(p_list=(3,), m_min=2, m_max=4))
+    failed = [inst for inst in report.instances if inst.status == "fail"]
+    assert [inst.label() for inst in failed] == [f"first p=3 m=3 alpha={a}" for a in range(3)]
+    reason = "IdentityViolation: the symbol-count correlations over GF(3^3) are not counts"
+    assert {inst.reason for inst in failed} == {reason}
+    assert report.summary() == {"pass": 10, "fail": 3, "skip": 2}
 
 
 def test_the_q_cap_is_no_field_of_the_spec():

@@ -7,8 +7,8 @@ comparison tolerance. Closed-form predictions compute powers of sqrt(-1) as
 exact quarter turns so the predictor side cannot drift in sign.
 
 Completed quadratic sums run in batches of triples of element indices, by
-table lookups, the trace form and `Field.product_indices`: no scalar trace
-or inverse runs per triple, and the scalar routes stay the oracle.
+table lookups, the trace form and the log table `Field.log` for quotients: no
+scalar trace or inverse runs per triple, and the scalar routes stay the oracle.
 
 Trace fibers come as one census per kind, a single histogram over every
 alpha of Tr(x) or Tr(x**2), beside the closed-form sizes.
@@ -87,26 +87,15 @@ def quadratic_sum(a2: FieldElement, a1: FieldElement, a0: FieldElement):
     return complex(evaluated[0]), complex(closed[0])
 
 
-def _inverse_indices(field: Field, a: np.ndarray) -> np.ndarray:
-    """a**(q-2), the inverse of every (nonzero) index in a, by square-and-multiply."""
-    result = np.full(len(a), field.one.index, dtype=np.int64)
-    e = field.q - 2
-    while e:
-        if e & 1:
-            result = field.product_indices(result, a)
-        a = field.product_indices(a, a)
-        e >>= 1
-    return result
-
-
 def completed_square(field: Field, a2, a1, a0):
     """Tr(a0 - a1**2/(4*a2)) and eta(a2) for index arrays with a2 nonzero.
 
-    The trace is additive, so the shift's trace is Tr(a0) - Tr(a1**2/(4*a2)).
+    The trace is additive, so the shift's trace is Tr(a0) - Tr(a1**2/(4*a2)); the
+    ratio is g^(2 log a1 - log 4 - log a2), and zero where a1 is (log[0] is -1).
     """
-    four_a2 = field.product_indices(np.full(len(a2), field.constant(4).index), a2)
-    ratio = field.product_indices(field.product_indices(a1, a1), _inverse_indices(field, four_a2))
-    shift_trace = (field.trace_table[a0] - field.trace_table[ratio]) % field.p
+    log = field.log
+    ratio = field.powers[(2 * log[a1] - log[field.constant(4).index] - log[a2]) % (field.q - 1)]
+    shift_trace = (field.trace_table[a0] - field.trace_table[ratio] * (log[a1] >= 0)) % field.p
     return shift_trace, field.quadratic_character_table[a2]
 
 

@@ -124,8 +124,6 @@ class Field:
             carry = prev[m - 1]
             rows.append(tuple(((prev[j - 1] if j else 0) + carry * top[j]) % p for j in range(m)))
         self._xpow = tuple(rows)
-        self.zero = FieldElement(self, (0,) * m)
-        self.one = FieldElement(self, (1,) + (0,) * (m - 1))
 
     def __repr__(self):
         return f"GF({self.p}^{self.m})" if self.m > 1 else f"GF({self.p})"
@@ -139,6 +137,16 @@ class Field:
         return hash((self.p, self.m, self.modulus))
 
     # -- element construction -------------------------------------------------
+    # zero and one are built on each access: stored, they would tie the field into a
+    # reference cycle, and it and its tables would wait for the cyclic collector
+
+    @property
+    def zero(self) -> "FieldElement":
+        return FieldElement(self, (0,) * self.m)
+
+    @property
+    def one(self) -> "FieldElement":
+        return FieldElement(self, (1,) + (0,) * (self.m - 1))
 
     def element(self, coeffs) -> "FieldElement":
         """Element from a length-m coefficient sequence, constant term first."""
@@ -219,21 +227,18 @@ class Field:
 
     @cached_property
     def square_index_table(self) -> np.ndarray:
-        """(q,) int64 array mapping each element index to the index of its square."""
-        r = np.arange(self.q)
-        idx = self.product_indices(r, r)
+        """(q,) int64 index of the square of each element index: g^k to g^(2k), and 0 to 0."""
+        idx = np.zeros(self.q, dtype=np.int64)
+        idx[self.powers] = np.tile(self.powers[::2], 2)  # g^k and g^(k + (q-1)/2) square to g^(2k)
         idx.setflags(write=False)
         return idx
 
     @cached_property
     def quadratic_character_table(self) -> np.ndarray:
-        """(q,) int8 array of the quadratic character, built by marking squares."""
-        table = np.full(self.q, -1, dtype=np.int8)
-        table[0] = 0
-        squares = np.unique(self.square_index_table[1:])
-        table[squares] = 1
-        if squares.size != (self.q - 1) // 2:
-            raise IdentityViolation(f"{squares.size} nonzero squares, expected {(self.q - 1) // 2}")
+        """(q,) int8 array of the quadratic character: eta(g^k) = (-1)^k, and 0 at zero."""
+        table = np.zeros(self.q, dtype=np.int8)
+        table[self.powers[0::2]] = 1
+        table[self.powers[1::2]] = -1
         table.setflags(write=False)
         return table
 
@@ -243,6 +248,7 @@ class Field:
 
         g passes a scalar pow test against each prime factor of q - 1; the powers,
         built by doubling with product_indices, must list every nonzero index once.
+        Every multiplicative table reads them: squares, eta, log and the trace spectra.
         """
         order = self.q - 1
         factors = [r for r in range(2, order + 1) if order % r == 0 and _is_prime(r)]
@@ -260,7 +266,10 @@ class Field:
 
     @cached_property
     def log(self) -> np.ndarray:
-        """(q,) int64 discrete logarithm to the base g: powers[log[x]] = x; log[0] is -1."""
+        """(q,) int64 discrete logarithm to the base g: powers[log[x]] = x; log[0] is -1.
+
+        The census, the Frobenius map and charsums.completed_square's quotients read it.
+        """
         log = np.full(self.q, -1)
         log[self.powers] = np.arange(self.q - 1)
         log.setflags(write=False)

@@ -128,7 +128,9 @@ def scalar_closed_parts(f, i2, i1, i0):
     return (a0 - a1 * a1 * (f.constant(4) * a2).inverse()).trace(), quadratic_character(a2)
 
 
-@pytest.mark.parametrize("p,m,sample", [(3, 2, None), (5, 2, 400), (3, 4, 400)])
+@pytest.mark.parametrize(
+    "p,m,sample", [(3, 1, None), (7, 1, None), (3, 2, None), (5, 2, 400), (3, 4, 400)]
+)
 def test_completed_square_matches_scalar_route(p, m, sample):
     f = make_field(p, m)
     if sample is None:  # every triple

@@ -6,6 +6,7 @@ followed by long division) and shares no code with the package.
 
 import itertools
 import random
+import weakref
 
 import pytest
 
@@ -235,7 +236,7 @@ def test_trace_of_multiples_matches_elementwise(p, m):
         assert f.trace_of_multiples(c).tolist() == [(c * x).trace() for x in elems]
 
 
-@pytest.mark.parametrize("p,m", [(3, 3), (5, 2), (7, 2)])
+@pytest.mark.parametrize("p,m", [(3, 1), (7, 1), (3, 3), (3, 4), (5, 2), (7, 2)])
 def test_square_table_matches_elementwise(p, m):
     f = make_field(p, m)
     expected = [(x * x).index for x in enumerate_field(f)]
@@ -337,7 +338,7 @@ def test_character_restricted_to_prime_field(p, m):
             assert eta == legendre
 
 
-@pytest.mark.parametrize("p,m", [(3, 2), (3, 3), (5, 2), (7, 2)])
+@pytest.mark.parametrize("p,m", [(3, 1), (7, 1), (3, 2), (3, 3), (3, 4), (5, 2), (7, 2)])
 def test_square_count_and_table(p, m):
     f = make_field(p, m)
     values = [quadratic_character(x) for x in enumerate_field(f)]
@@ -354,11 +355,20 @@ def test_square_count_and_table(p, m):
         lambda ring: quadratic_character(ring.element([1, 1])),
         lambda ring: ring.log,  # 1 + x passes the scalar test for order 8, but (1 + x)^3 = 1 + x
     ],
-    ids=["trace", "square-count", "euler", "powers"],
+    ids=["trace", "character-table", "euler", "powers"],
 )
 def test_field_identities_are_checked(check):
     with pytest.raises(IdentityViolation):
         check(Field(3, 2, (2, 0, 1)))
+
+
+def test_a_dropped_field_is_freed_at_once():
+    # no element is stored on the field, so no cycle keeps it and its tables for the collector
+    field = make_field(7, 2)
+    field.quadratic_character_table
+    ref = weakref.ref(field)
+    del field
+    assert ref() is None
 
 
 # -- canonical order -------------------------------------------------------------

@@ -11,8 +11,8 @@ Skipped above PAIRWISE_ORACLE_CAP words, the oracle compares one word per orbit
 of scaling (every index set is closed under GF(p)^*), the all-ones shift (for
 D(alpha != 0)) and the Frobenius coordinate permutation (one gather through
 the field's log table; D(alpha), E and every index set are closed under
-x -> x^p), each used only if a check on the words shows it keeps them, and
-builds one hit matrix per orbit of symbols.
+x -> x^p), each kept if its images, keyed to words and checked in row blocks,
+permute the words; one hit matrix per symbol orbit is summed over column blocks.
 
 The bound evaluation is exact integer/rational arithmetic throughout;
 optimality means M * denominator == n * d with no floating point involved.
@@ -34,6 +34,7 @@ import numpy as np
 from .charsums import quadratic_trace_sign
 from .codes import (
     TraceCode,
+    add_mod,
     build_defining_set_D,
     build_defining_set_E,
     build_trace_code,
@@ -41,23 +42,24 @@ from .codes import (
     minimum_distance,
     predicted_weight_distribution_lem41,
     predicted_weight_distribution_thm31,
-    row_classes,
     second_family_terms,
 )
 from .errors import CompositionLengthMismatch, DuplicateWords, UnsupportedDegree
 
 #: largest word count for which the pairwise oracle runs (its match matrix is one row per orbit)
 PAIRWISE_ORACLE_CAP = 5000
+PAIRWISE_ROW_BLOCK = 1024  # rows of a map's image that the oracle builds and checks at once
+PAIRWISE_COLUMN_BLOCK = 256  # coordinates whose hit products the oracle sums at once
 
 
 def pairwise_min_distance(words, coordinate_maps=()) -> int:
     """Exact minimum Hamming distance over all unordered pairs of words.
 
     Maps of the word set onto itself keep distances, so one word per orbit is
-    compared with all words: w -> w + 1, w -> lam*w mod p (p the largest symbol
-    + 1, lam a primitive root mod p) and w -> w[sigma] for each coordinate
-    permutation sigma given (a trace code's Frobenius map), each used only if
-    every image is a word. One hit matrix per orbit of symbols serves them all.
+    compared with all words: w -> w + 1, w -> lam*w mod p (p the largest symbol + 1,
+    lam a primitive root mod p) and w -> w[sigma] for each permutation sigma given,
+    each used only if checked to permute the words. So an equal pair meets a
+    representative: distance 0 raises DuplicateWords. Hits are summed per column block.
     """
     w = np.ascontiguousarray(np.asarray(words, dtype=np.int8))
     if w.ndim != 2 or w.shape[0] < 2:
@@ -70,6 +72,7 @@ def pairwise_min_distance(words, coordinate_maps=()) -> int:
         previous, label = label, np.minimum.reduce([label] + [label[perm] for _, perm in kept])
     reps = np.flatnonzero(label == np.arange(m_words))
     matches = np.zeros((len(reps), m_words), dtype=np.float32)  # exact: counts stay below 2**24
+    hits = np.empty((m_words, min(n, PAIRWISE_COLUMN_BLOCK)), dtype=np.float32)  # no bool copy
     rows_of = {}  # symbol s -> rows Q of its orbit's least symbol b with hits_s = hits_b[Q]
     for base in (s for s in symbols if s not in rows_of):
         rows_of[base], orbit = np.arange(m_words), [base]
@@ -78,32 +81,60 @@ def pairwise_min_distance(words, coordinate_maps=()) -> int:
                 if inverse is not None and inverse[s] not in rows_of:
                     rows_of[inverse[s]] = rows_of[s][perm]
                     orbit.append(inverse[s])
-        hits = np.empty((m_words, n), dtype=np.float32)
-        np.equal(w, base, out=hits, casting="unsafe")  # no bool copy of the words
-        block = hits[np.concatenate([rows_of[s][reps] for s in orbit])] @ hits.T
+        rows = np.concatenate([rows_of[s][reps] for s in orbit])
+        block = np.zeros((len(rows), m_words), dtype=np.float32)
+        for start in range(0, n, PAIRWISE_COLUMN_BLOCK):  # hits on one block J of columns
+            hits_j = hits[:, : min(PAIRWISE_COLUMN_BLOCK, n - start)]
+            np.equal(w[:, start : start + hits_j.shape[1]], base, out=hits_j, casting="unsafe")
+            block += hits_j[rows] @ hits_j.T
         for s, part in zip(orbit, block.reshape(len(orbit), len(reps), m_words)):
             matches += part if s == base else part[:, rows_of[s]]
     matches[np.arange(len(reps)), reps] = -1.0
-    return n - int(matches.max())
+    if (distance := n - int(matches.max())) == 0:
+        raise DuplicateWords("two identical words found (distance 0)")
+    return distance
 
 
 def _kept_maps(w, p, coordinate_maps) -> list:
-    """(f^-1 as a symbol table, or None for a coordinate map, P) per f with f(w_j) = w_P(j)."""
-    maps = []  # (f^-1 or None, image of w under f); np.take(table, w) would copy w to intp
+    """(f^-1 as a symbol table, or None for a coordinate map, P) per f with f(w_j) = w_P(j).
+
+    P is found by a key packing the digits on a seeded sample of coordinates; f is kept
+    only if P permutes 0..M-1 and f(w) == w[P], checked one block of rows at a time.
+    """
+    maps = []  # (f^-1 or None, f on a block of rows)
     if p:  # a negative symbol would wrap
         lam = next((g for g in range(2, p) if len({pow(g, k, p) for k in range(1, p)}) == p - 1), 1)
-        shifted = (w + 1).view(np.uint8)  # x - p wraps above x exactly when x < p
-        np.minimum(shifted, shifted - np.uint8(p), out=shifted)
-        scaled = (lam * np.arange(p) % p).astype(np.int8)[w]  # an int8 index is cast in chunks
-        maps = [([(s - 1) % p for s in range(p)], shifted.view(np.int8))]
-        maps.append(([s * pow(lam, -1, p) % p for s in range(p)], scaled))
+        maps = [([(s - 1) % p for s in range(p)], lambda x: add_mod(x.view(np.uint8), 1, p))]
+        maps.append(([s * pow(lam, -1, p) % p for s in range(p)], lambda x: _scaled(x, lam, p)))
     for sigma in coordinate_maps:  # only a permutation of the coordinates keeps distances
         if np.array_equal(np.sort(sigma), np.arange(w.shape[1])):
-            maps.append((None, np.take(w, sigma, axis=1)))
-    ids = row_classes([*w, *(row for _, image in maps for row in image)]).reshape(-1, len(w))
-    if not np.array_equal(ids[0], np.arange(len(w))):  # words first, so distinct ones get 0..M-1
-        raise DuplicateWords("two identical words found (distance 0)")
-    return [(table, perm) for (table, _), perm in zip(maps, ids[1:]) if perm.max() < len(w)]
+            maps.append((None, lambda x, sigma=sigma: np.take(x, sigma, axis=1)))
+    radix = int(w.view(np.uint8).max(initial=1)) + 1  # a negative symbol reads as a large byte
+    width = max(k for k in range(1, 64) if radix**k <= 2**63)  # so the largest key fits
+    columns = np.sort(np.random.default_rng(0).permutation(w.shape[1])[:width])
+    key = lambda rows: rows[:, columns].view(np.uint8) @ np.int64(radix) ** np.arange(len(columns))
+    order = np.argsort(key(w), kind="stable")
+    sorted_keys, kept = key(w)[order], []
+    for table, f in maps:
+        perm = np.empty(len(w), dtype=np.int64)
+        for start in range(0, len(w), PAIRWISE_ROW_BLOCK):  # a shared key can only drop f
+            image = f(w[start : start + PAIRWISE_ROW_BLOCK]).view(np.int8)
+            slot = np.searchsorted(sorted_keys, key(image)).clip(max=len(w) - 1)
+            perm[start : start + len(image)] = order[slot]
+            if not np.array_equal(image, w[order[slot]]):
+                break
+        else:
+            if np.array_equal(np.sort(perm), np.arange(len(w))):
+                kept.append((table, perm))
+    return kept
+
+
+def _scaled(rows, lam, p) -> np.ndarray:
+    """lam * rows mod p in uint8 by double-and-add, one bit of lam at a time."""
+    x = acc = rows.view(np.uint8)
+    for bit in bin(lam)[3:]:
+        acc = add_mod(acc, acc, p) if bit == "0" else add_mod(add_mod(acc, acc, p), x, p)
+    return acc
 
 
 def _frobenius_permutation(ds) -> np.ndarray:

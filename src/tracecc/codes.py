@@ -30,6 +30,7 @@ from .errors import (
 from .gfpm import Field, FieldElement
 
 ROUNDING_MARGIN = 0.25  # farthest a float64 correlation may lie from an integer count
+WORD_BLOCK_ROWS = 1024  # codeword rows that TraceCode.words builds at once
 
 
 @dataclass(frozen=True)
@@ -119,16 +120,16 @@ class TraceCode:
     def words(self, rows) -> np.ndarray:
         """(len(rows), n) int8 codewords of the listed element indices: digits[rows] @ gen mod p.
 
-        gen = G @ digits(D).T with G the trace form; the product is summed one digit at
-        a time in 8 bits, so every temporary holds one byte a symbol.
+        gen = G @ digits(D).T with G the trace form; the product is summed one digit at a
+        time in 8 bits, one block of rows at a time, so a temporary holds one byte a symbol.
         """
         field, p = self.field, self.field.p
         gen = field.trace_form @ field.digits[self.defining_set.indices].T.astype(np.int64)
         out = np.zeros((len(rows), self.length), dtype=np.uint8)
-        for gen_k, digit in zip(gen, field.digits[rows].T):
-            out += (np.arange(p)[:, None] * gen_k % p).astype(np.uint8)[digit]
-            # entries are below 2p, and x - p wraps above x in uint8 exactly when x < p
-            np.minimum(out, out - np.uint8(p), out=out)
+        for start in range(0, len(out), WORD_BLOCK_ROWS):
+            block = out[start : start + WORD_BLOCK_ROWS]
+            for g, digit in zip(gen, field.digits[rows[start : start + WORD_BLOCK_ROWS]].T):
+                add_mod(block, (np.arange(p)[:, None] * g % p).astype(np.uint8)[digit], p, block)
         return out.view(np.int8)
 
     @cached_property
@@ -161,11 +162,9 @@ class TraceCode:
         )
 
 
-def row_classes(rows) -> np.ndarray:
-    """Class id of each row: equal rows share one, numbered in order of first occurrence."""
-    seen = {}
-    ids = (seen.setdefault(row.tobytes(), len(seen)) for row in rows)
-    return np.fromiter(ids, np.int64, count=len(rows))  # allocated before the first key is kept
+def add_mod(x, y, p, out=None) -> np.ndarray:
+    """(x + y) mod p in uint8 for x, y in 0..p-1: a sum s - p wraps above s exactly when s < p."""
+    return np.minimum(total := np.add(x, y, out=out), total - np.uint8(p), out=total)
 
 
 def trace_count_table(ds: DefiningSet) -> np.ndarray:

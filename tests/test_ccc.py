@@ -280,10 +280,9 @@ def test_pairwise_oracle_kernel_per_symbol_orbit(alpha, shift, symbol_maps):
     assert pairwise_min_distance(words, maps) == naive_pairwise_min(words.tolist())
 
 
-def test_pairwise_oracle_traced_peak_stays_below_ten_bytes_per_symbol():
+def test_pairwise_oracle_traced_peak_stays_below_four_bytes_per_symbol():
     # the GF(7^5) alpha = 0 subcode (M = n = 2400) with its Frobenius map, as the sweep runs it;
-    # the images kept alive through the kernel read 11.8 bytes a symbol, and an intp copy of
-    # the words (8 bytes a symbol, as np.take(table, words) makes) beside the images 10.0
+    # whole map images and a float32 hit matrix over all n coordinates read 8.3 bytes a symbol
     sub = first_subcode(7, 5, 0)
     words, sigma = sub.words, _frobenius_permutation(sub.source.defining_set)
     tracemalloc.start()
@@ -293,7 +292,68 @@ def test_pairwise_oracle_traced_peak_stays_below_ten_bytes_per_symbol():
         peak = tracemalloc.get_traced_memory()[1] - before
     finally:
         tracemalloc.stop()
-    assert peak < 10 * words.size
+    assert peak < 4 * words.size
+
+
+def test_pairwise_oracle_exact_on_words_the_key_cannot_tell_apart():
+    # {s * e_i}: n = 40 exceeds the 27 base-5 digits of a 63-bit key, so the words whose one
+    # nonzero symbol lies off the sampled coordinates all share the key 0
+    p, n = 5, 40
+    words = np.concatenate([s * np.eye(n, dtype=np.int8) for s in range(1, p)])
+    cycle = np.roll(np.arange(n), 1)
+    kept = _kept_maps(words, p, [cycle])
+    assert len(kept) < 2  # scaling and the cycle both keep the set; a shared key drops one
+    for table, perm in kept:  # and what is kept was checked
+        if table is None:
+            assert np.array_equal(np.take(words, cycle, axis=1), words[perm])
+        else:
+            assert np.array_equal(np.take(table, words[perm]), words)
+    assert pairwise_min_distance(words, [cycle]) == naive_pairwise_min(words.tolist()) == 1
+
+
+def test_pairwise_oracle_drops_a_map_that_fails_only_off_the_key_in_the_last_row_block():
+    # for every transposition tau = (a b): the first PAIRWISE_ROW_BLOCK words have w[a] = w[b],
+    # so tau fixes them; the last three have w[b] = w[a] + 1, so their images are no words.
+    # n = 40 exceeds the 27 base-5 digits of a 63-bit key, so some tau moves only
+    # coordinates off the key, and then only the exact check on the last block can fail
+    p, n, block = 5, 40, ccc.PAIRWISE_ROW_BLOCK
+    rng = np.random.default_rng(11)
+    first, last = rng.integers(0, p, (block, n)), rng.integers(0, p, (3, n))
+    for a in range(n):
+        for b in range(a + 1, n):
+            tau = np.arange(n)
+            tau[[a, b]] = b, a
+            fixed = first.copy()
+            fixed[:, b] = fixed[:, a]
+            moved = last.copy()
+            moved[:, b] = (moved[:, a] + 1) % p
+            assert len(_kept_maps(fixed.astype(np.int8), 0, [tau])) == 1
+            assert _kept_maps(np.concatenate([fixed, moved]).astype(np.int8), 0, [tau]) == []
+
+
+def test_pairwise_detects_a_duplicate_of_a_word_that_no_orbit_starts_at():
+    # GF(5^3) alpha = 0 is closed under scaling; a copy of a word that is not the least
+    # index of its scaling orbit is found all the same
+    p, words = 5, first_subcode(5, 3, 0).words
+    rows = words.tolist()
+    index = {tuple(w): i for i, w in enumerate(rows)}
+    orbit_min = [min(index[tuple(s * x % p for x in w)] for s in range(1, p)) for w in rows]
+    late = next(i for i, least in enumerate(orbit_min) if least < i)
+    with pytest.raises(DuplicateWords):
+        pairwise_min_distance(np.concatenate([words, words[[late]]]))
+
+
+@pytest.mark.parametrize("n", [1, ccc.PAIRWISE_COLUMN_BLOCK, ccc.PAIRWISE_COLUMN_BLOCK + 1])
+def test_pairwise_oracle_across_column_blocks(n):
+    # closed under scaling and the shift; the nearest pair differs in coordinate 0 alone,
+    # so a coordinate block counted wrongly changes the distance
+    p, rng = 3, np.random.default_rng(n)
+    bases = rng.integers(0, p, (3, n))
+    bases[1] = bases[0]
+    bases[1, 0] = (bases[0, 0] + 1) % p
+    orbits = [(s * b + c) % p for b in bases for s in range(1, p) for c in range(p)]
+    words = np.unique(orbits, axis=0)
+    assert pairwise_min_distance(words) == naive_pairwise_min(words.tolist()) == 1
 
 
 # -- first construction -----------------------------------------------------------------

@@ -59,19 +59,15 @@ def test_only_cli_main_writes_to_the_terminal():
     assert found == []
 
 
-def test_only_codes_row_classes_hashes_rows():
-    # one row hasher: the class ids of every code, subcode and oracle come from codes.row_classes
-    found = []
-    for path in sorted(PACKAGE.glob("*.py")):
-        for top in ast.parse(path.read_text(), filename=str(path)).body:
-            owner = f"{path.stem}.{getattr(top, 'name', '<module>')}"
-            found += [
-                (owner, f"{path.name}:{node.lineno} in {owner}")
-                for node in ast.walk(top)
-                if isinstance(node, ast.Attribute) and node.attr == "tobytes"
-            ]
-    assert [where for owner, where in found if owner != "codes.row_classes"] == []
-    assert found, "codes.row_classes no longer hashes rows with .tobytes()"
+def test_no_module_hashes_rows_with_tobytes():
+    # rows are told apart by vectorized keys and checks, never hashed one at a time in Python
+    found = [
+        f"{path.name}:{node.lineno}"
+        for path in sorted(PACKAGE.glob("*.py"))
+        for node in ast.walk(ast.parse(path.read_text(), filename=str(path)))
+        if isinstance(node, ast.Attribute) and node.attr == "tobytes"
+    ]
+    assert found == []
 
 
 def test_only_plan_sweep_names_a_skip():

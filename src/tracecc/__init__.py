@@ -57,7 +57,7 @@ from .errors import (
     ZeroCode,
     ZeroLeadingCoefficient,
 )
-from .gfpm import Field, FieldElement, enumerate_field, make_field, quadratic_character
+from .gfpm import Field, FieldElement, make_field, quadratic_character
 from .sweep import SweepSpec, VerificationReport, fiber_check, gauss_check, run_sweep
 
 __version__ = "0.1.0"

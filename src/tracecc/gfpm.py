@@ -422,11 +422,3 @@ def quadratic_character(x: FieldElement) -> int:
     if v not in (x.field.one, -x.field.one):
         raise IdentityViolation(f"{x!r} ** ((q-1)/2) is neither 1 nor -1")
     return 1 if v == x.field.one else -1
-
-
-def enumerate_field(field: Field, nonzero_only: bool = False):
-    """Yield every element of the field exactly once in canonical order."""
-    for coeffs in itertools.product(range(field.p), repeat=field.m):
-        if nonzero_only and not any(coeffs):
-            continue
-        yield FieldElement(field, coeffs)

@@ -1,10 +1,20 @@
+import itertools
+
 import numpy as np
 import pytest
 
-from tracecc import SweepSpec, make_field, run_sweep
+from tracecc import FieldElement, SweepSpec, make_field, run_sweep
 
 # every (p, m) reachable by the default sweep, p^m <= 10^5
 SWEEP_POINTS = [(p, m) for p in (3, 5, 7) for m in range(2, 6)]
+
+
+def enumerate_field(field, nonzero_only=False):
+    """Yield every element of the field exactly once in canonical order, by scalar coefficients."""
+    for coeffs in itertools.product(range(field.p), repeat=field.m):
+        if nonzero_only and not any(coeffs):
+            continue
+        yield FieldElement(field, coeffs)
 
 
 @pytest.fixture(scope="session")

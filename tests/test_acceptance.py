@@ -34,7 +34,6 @@ import pytest
 
 from tracecc import (
     EPS,
-    enumerate_field,
     lfvc_evaluate,
     predicted_ccc_first,
     predicted_ccc_second,
@@ -43,6 +42,8 @@ from tracecc import (
     quadratic_character,
 )
 from tracecc.sweep import EXHAUSTIVE_TRIPLE_LIMIT, fiber_check, gauss_check
+
+from conftest import enumerate_field
 
 EXHAUSTIVE_FIELD_LIMIT = 243  # full ternary law checks up to this field size
 SAMPLE_COUNT = 1000

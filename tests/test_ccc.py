@@ -25,7 +25,6 @@ from tracecc import (
     build_defining_set_E,
     build_trace_code,
     ccc,
-    enumerate_field,
     extract_subcode_first,
     extract_subcode_second,
     lfvc_evaluate,
@@ -43,7 +42,7 @@ from tracecc.ccc import (
     ccc_json,
 )
 
-from conftest import SWEEP_POINTS
+from conftest import SWEEP_POINTS, enumerate_field
 
 
 def naive_pairwise_min(words):

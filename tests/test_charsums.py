@@ -19,7 +19,6 @@ from tracecc import (
     ZeroLeadingCoefficient,
     count_trace_fiber,
     count_trace_square_fiber,
-    enumerate_field,
     gauss_sum_fp,
     gauss_sum_fq,
     make_field,
@@ -28,6 +27,8 @@ from tracecc import (
     quadratic_trace_sign,
 )
 from tracecc.charsums import completed_square, predicted_square_trace_fiber, quadratic_sums
+
+from conftest import enumerate_field
 
 SQRT3 = math.sqrt(3.0)
 

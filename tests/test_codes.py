@@ -19,7 +19,6 @@ from tracecc import (
     build_trace_code,
     codes,
     count_trace_square_fiber,
-    enumerate_field,
     make_field,
     minimum_distance,
     predicted_weight_distribution_lem41,
@@ -29,7 +28,7 @@ from tracecc import (
 from tracecc.ccc import CONSTRUCTIONS, build_construction
 from tracecc.codes import trace_code_json, weight_table_csv
 
-from conftest import SWEEP_POINTS, spike_spectra
+from conftest import SWEEP_POINTS, enumerate_field, spike_spectra
 
 
 def elements(ds):

@@ -17,11 +17,12 @@ from tracecc import (
     IdentityViolation,
     NotPrime,
     ReducibleModulus,
-    enumerate_field,
     make_field,
     quadratic_character,
 )
 from tracecc.gfpm import Field
+
+from conftest import enumerate_field
 
 
 def naive_mul(a, b, modulus, p):

@@ -17,10 +17,18 @@ permute the words; one hit matrix per symbol orbit is summed over column blocks.
 The bound evaluation is exact integer/rational arithmetic throughout;
 optimality means M * denominator == n * d with no floating point involved.
 
+For alpha != 0, D(alpha) = c*D(alpha_ref) with c = alpha/alpha_ref in GF(p)^*, so
+c_a over D(alpha) is c_(ca) over D(alpha_ref) with its coordinates permuted: when
+both that set identity and c*I = I for the index set I are checked, a first-family
+subcode takes its distance from a PairwiseReference (the field's first alpha != 0
+subcode whose oracle ran) instead of running the oracle, and reports the route.
+
 CONSTRUCTIONS is the one place that tells the paper's three constructions
 apart. Outside it, only the wrappers that the benchmark clocks by name branch on
 a construction name: extract_subcode_* here, and sweep's verify_*_instance and
-the run_sweep branch that picks one of them.
+the run_sweep branch that picks one of them (and passes the reference only to the
+first construction). On alpha, the first construction's closed forms and bound
+checks branch at alpha = 0, and _extract fills and reads a reference at alpha != 0.
 """
 
 from __future__ import annotations
@@ -33,6 +41,7 @@ import numpy as np
 
 from .charsums import quadratic_trace_sign
 from .codes import (
+    DefiningSet,
     TraceCode,
     add_mod,
     build_defining_set_D,
@@ -144,6 +153,37 @@ def _frobenius_permutation(ds) -> np.ndarray:
     return np.searchsorted(ds.indices, powers)  # n or a wrong slot for a power outside it
 
 
+def _scaled_indices(field, c: int, indices) -> np.ndarray:
+    """Sorted indices of c*x for the constant c in GF(p)^* and nonzero x, through the log table."""
+    shift = field.log[field.prime_subfield_indices()[c]]
+    return np.sort(field.powers[(field.log[indices] + shift) % (field.q - 1)])
+
+
+@dataclass
+class PairwiseReference:
+    """The defining set and oracle distance of one field's first alpha != 0 subcode.
+
+    Made empty per field by the caller; `_extract` fills it from the first alpha != 0
+    first-family instance whose oracle ran, and transfers its distance to a later one.
+    """
+
+    defining_set: Optional[DefiningSet] = None
+    d_pairwise: Optional[int] = None
+
+    def transfers_to(self, ds: DefiningSet, index: np.ndarray) -> bool:
+        """Whether c = alpha/alpha_ref maps the reference's set onto `ds` and `index` onto itself.
+
+        Both are checked as sorted index arrays, so a broken check runs the oracle.
+        """
+        ref = self.defining_set
+        if ref is None or ref.field != ds.field:
+            return False
+        field = ds.field
+        c = ds.alpha * pow(ref.alpha, -1, field.p) % field.p
+        maps_onto = lambda x, image: np.array_equal(_scaled_indices(field, c, x), image)
+        return maps_onto(ref.indices, ds.indices) and maps_onto(index, index)
+
+
 class CccParams(NamedTuple):
     n: int
     M: int
@@ -163,6 +203,7 @@ class CccCode:
     index_count: int
     d_pairwise: Optional[int]
     d_ambient: int
+    distance_route: str  # "pairwise", "transferred" (from a PairwiseReference) or "ambient-only"
     alpha: Optional[int] = None
     tau: Optional[int] = None
 
@@ -196,7 +237,7 @@ class CccCode:
         )
 
 
-def _extract(code: TraceCode, construction: str) -> CccCode:
+def _extract(code: TraceCode, construction: str, *, reference=None) -> CccCode:
     entry = CONSTRUCTIONS[construction]
     ds = code.defining_set
     if ds.kind != entry.defining_set:
@@ -208,9 +249,14 @@ def _extract(code: TraceCode, construction: str) -> CccCode:
     composition = tuple(int(c) for c in counts[0])  # of word 0
     composition_ok = bool((counts == composition).all())
     d_ambient = minimum_distance(code)
-    oracle_runs = len(rows) <= PAIRWISE_ORACLE_CAP  # the words and sigma are made for it alone
-    sigmas = [_frobenius_permutation(ds)] if oracle_runs else []
-    d_pairwise = pairwise_min_distance(code.words(rows), sigmas) if oracle_runs else None
+    d_pairwise, route = None, "ambient-only"
+    if reference is not None and ds.alpha and reference.transfers_to(ds, index):
+        d_pairwise, route = reference.d_pairwise, "transferred"
+    elif len(rows) <= PAIRWISE_ORACLE_CAP:  # the words and sigma are made for the oracle alone
+        d_pairwise = pairwise_min_distance(code.words(rows), [_frobenius_permutation(ds)])
+        route = "pairwise"
+        if reference is not None and ds.alpha and reference.defining_set is None:
+            reference.defining_set, reference.d_pairwise = ds, d_pairwise
     return CccCode(
         code,
         construction,
@@ -220,14 +266,18 @@ def _extract(code: TraceCode, construction: str) -> CccCode:
         index_count=len(index),
         d_pairwise=d_pairwise,
         d_ambient=d_ambient,
+        distance_route=route,
         alpha=ds.alpha,
         tau=None if ds.kind == "D-alpha" else quadratic_trace_sign(field.p, field.m),
     )
 
 
-def extract_subcode_first(code: TraceCode) -> CccCode:
-    """Subcode indexed by every a outside the prime subfield; deduplicated."""
-    return _extract(code, "first")
+def extract_subcode_first(code: TraceCode, *, reference=None) -> CccCode:
+    """Subcode indexed by every a outside the prime subfield; deduplicated.
+
+    A PairwiseReference of the same field lends its distance when the check passes.
+    """
+    return _extract(code, "first", reference=reference)
 
 
 def extract_subcode_second(code: TraceCode, which: str) -> CccCode:
@@ -388,11 +438,11 @@ CONSTRUCTIONS = {
 }
 
 
-def build_construction(field, construction: str, alpha=None) -> tuple:
+def build_construction(field, construction: str, alpha=None, *, reference=None) -> tuple:
     """The ambient trace code and the subcode of one named construction.
 
     `alpha` picks D(alpha) for the first construction and must be None for
-    the other two.
+    the other two; `reference` reaches the first construction's extraction only.
     """
     entry = CONSTRUCTIONS.get(construction)
     if entry is None:
@@ -403,7 +453,7 @@ def build_construction(field, construction: str, alpha=None) -> tuple:
         if not 0 <= alpha < field.p:
             raise ValueError(f"alpha {alpha} is not a residue mod {field.p}")
         code = build_trace_code(build_defining_set_D(field, alpha))
-        return code, extract_subcode_first(code)
+        return code, extract_subcode_first(code, reference=reference)
     if alpha is not None:
         raise ValueError("--alpha applies to the first construction only")
     code = build_trace_code(build_defining_set_E(field))
@@ -425,6 +475,7 @@ def ccc_json(subcode: CccCode, emit_codewords: bool = False) -> dict:
     doc["d"] = subcode.d
     doc["d_pairwise"] = subcode.d_pairwise
     doc["d_ambient"] = subcode.d_ambient
+    doc["distance_route"] = subcode.distance_route
     doc["omega"] = list(subcode.composition)
     doc["lfvc"] = subcode.lfvc().to_json_dict()
     predicted = CONSTRUCTIONS[subcode.construction].predict(field.p, field.m, subcode.alpha)

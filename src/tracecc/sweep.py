@@ -17,7 +17,7 @@ from dataclasses import dataclass, field as dataclass_field
 
 import numpy as np
 
-from .ccc import CONSTRUCTIONS, PAIRWISE_ORACLE_CAP, build_construction, ccc_json
+from .ccc import CONSTRUCTIONS, PAIRWISE_ORACLE_CAP, PairwiseReference, build_construction, ccc_json
 from .charsums import (
     EPS,
     count_trace_fiber,
@@ -151,23 +151,27 @@ def judge(sub) -> InstanceResult:
         detail={
             "census": _wd_rows(census),
             "predicted_census": _wd_rows(predicted_wd),
-            **{key: doc[key] for key in ("n", "M", "d", "d_pairwise", "d_ambient", "omega")},
+            **{k: doc[k] for k in ("n", "M", "d", "d_pairwise", "d_ambient", "distance_route")},
+            "omega": doc["omega"],
             "predicted": {**predicted._asdict(), "omega": list(predicted.omega)},
             "lfvc": doc["lfvc"],
         },
     ).finalize()
 
 
-def _verify(construction: str, field: Field, alpha) -> InstanceResult:
+def _verify(construction: str, field: Field, alpha, reference=None) -> InstanceResult:
     started = time.perf_counter()
-    result = judge(build_construction(field, construction, alpha)[1])
+    result = judge(build_construction(field, construction, alpha, reference=reference)[1])
     result.seconds = time.perf_counter() - started
     return result
 
 
-def verify_first_instance(field: Field, alpha: int):
-    """Check the D(alpha) code and its subcode against all closed forms."""
-    return _verify("first", field, alpha)
+def verify_first_instance(field: Field, alpha: int, *, reference=None):
+    """Check the D(alpha) code and its subcode against all closed forms.
+
+    `reference`, a PairwiseReference of this field, is filled or read by the extraction.
+    """
+    return _verify("first", field, alpha, reference)
 
 
 def verify_second_instance(field: Field, which: str):
@@ -232,19 +236,21 @@ def plan_sweep(spec: SweepSpec) -> list:
 def run_sweep(spec: SweepSpec) -> VerificationReport:
     """Run the planned instances, building each field once.
 
-    A TraceCCError in an instance becomes a fail record carrying the error,
-    and the sweep goes on.
+    The first family's alpha != 0 instances of a field share one PairwiseReference,
+    dropped with the field, so the oracle runs once per field for them. A
+    TraceCCError in an instance becomes a fail record carrying the error, and the
+    sweep goes on.
     """
-    fields = {}
+    fields, reference = {}, None
     records = []
     for construction, p, m, alpha, reason in plan_sweep(spec):
         record = InstanceResult(construction, p, m, alpha=alpha, status="skip", reason=reason)
         if not reason:
             if (p, m) not in fields:  # the plan runs one field at a time, so only its tables stay
-                fields = {(p, m): make_field(p, m)}
+                fields, reference = {(p, m): make_field(p, m)}, PairwiseReference()
             try:
                 if construction == "first":
-                    record = verify_first_instance(fields[p, m], alpha)
+                    record = verify_first_instance(fields[p, m], alpha, reference=reference)
                 else:
                     record = verify_second_instance(fields[p, m], CONSTRUCTIONS[construction].which)
             except TraceCCError as exc:

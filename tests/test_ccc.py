@@ -15,6 +15,7 @@ import pytest
 from tracecc import (
     PAIRWISE_ORACLE_CAP,
     CompositionLengthMismatch,
+    DefiningSet,
     DegenerateSet,
     DuplicateWords,
     IdentityViolation,
@@ -36,6 +37,7 @@ from tracecc import (
 )
 from tracecc.ccc import (
     CONSTRUCTIONS,
+    PairwiseReference,
     _frobenius_permutation,
     _kept_maps,
     build_construction,
@@ -398,8 +400,75 @@ def test_pairwise_cap_falls_back_to_ambient(monkeypatch):
     assert extract_subcode_first(code).d_pairwise is not None
     monkeypatch.setattr(ccc, "PAIRWISE_ORACLE_CAP", 5)
     sub = extract_subcode_first(code)
-    assert sub.d_pairwise is None
+    assert sub.d_pairwise is None and sub.distance_route == "ambient-only"
     assert sub.d == sub.d_ambient == minimum_distance(code)
+
+
+# -- a distance transferred through the scaling isometry ----------------------------------------
+
+
+def d_code(field, alpha):
+    return build_trace_code(build_defining_set_D(field, alpha))
+
+
+TRANSFER_FIELDS = [(3, 2), (3, 3), (3, 4), (3, 5), (5, 2), (5, 3), (5, 4), (7, 2), (7, 3)]
+
+
+@pytest.mark.parametrize("p,m", TRANSFER_FIELDS)
+def test_transferred_distance_equals_the_oracles(p, m):
+    field, reference = make_field(p, m), PairwiseReference()
+    first = extract_subcode_first(d_code(field, 1), reference=reference)
+    assert first.distance_route == "pairwise" and reference.d_pairwise == first.d_pairwise
+    for alpha in range(2, p):
+        code = d_code(field, alpha)
+        sub = extract_subcode_first(code, reference=reference)
+        oracle = extract_subcode_first(code)
+        assert (sub.distance_route, oracle.distance_route) == ("transferred", "pairwise")
+        assert sub.d_pairwise == oracle.d_pairwise == first.d_pairwise
+        assert reference.defining_set.alpha == 1  # the first instance whose oracle ran stays
+
+
+def test_alpha_zero_and_the_second_family_neither_fill_nor_read_a_reference():
+    field, reference = make_field(3, 4), PairwiseReference()
+    for construction, alpha in [("first", 0), ("second-S", None)]:
+        code = build_construction(field, construction, alpha)[0]
+        assert ccc._extract(code, construction, reference=reference).distance_route == "pairwise"
+        assert reference.defining_set is None
+    reference.defining_set, reference.d_pairwise = d_code(field, 1).defining_set, 999
+    zero = extract_subcode_first(d_code(field, 0), reference=reference)
+    assert zero.distance_route == "pairwise" and zero.d_pairwise == 18
+
+
+def _without_the_last_index(field):
+    keep = ccc._outside_prime_field(field)
+    keep[np.flatnonzero(keep)[-1]] = False  # so c*I = I fails for every c != 1
+    return keep
+
+
+@pytest.mark.parametrize("broken", ["reference-set", "index-closure"])
+def test_a_broken_check_drops_the_transfer(monkeypatch, broken):
+    field, reference = make_field(5, 3), PairwiseReference()
+    extract_subcode_first(d_code(field, 1), reference=reference)
+    code = d_code(field, 2)
+    assert extract_subcode_first(code, reference=reference).distance_route == "transferred"
+    indices = reference.defining_set.indices.copy()
+    if broken == "reference-set":  # one element of D(1) swapped for one outside it
+        indices[0] = np.setdiff1d(np.arange(1, field.q), indices)[0]
+        reference.defining_set = DefiningSet(field, "D-alpha", 1, np.sort(indices))
+    else:
+        entry = CONSTRUCTIONS["first"]._replace(index_mask=_without_the_last_index)
+        monkeypatch.setitem(CONSTRUCTIONS, "first", entry)
+    reference.d_pairwise = 999  # would show if the transfer still ran
+    sub = extract_subcode_first(code, reference=reference)
+    assert sub.distance_route == "pairwise"
+    assert sub.d_pairwise == extract_subcode_first(code).d_pairwise == sub.d_ambient
+
+
+def test_a_reference_of_another_field_is_not_read():
+    reference = PairwiseReference()  # indices of GF(81) lie past the end of GF(27)'s tables
+    extract_subcode_first(d_code(make_field(3, 4), 1), reference=reference)
+    code = d_code(make_field(3, 3), 2)
+    assert extract_subcode_first(code, reference=reference).distance_route == "pairwise"
 
 
 # -- second construction --------------------------------------------------------------------
@@ -650,6 +719,7 @@ def test_ccc_json_shape():
     assert doc["construction"] == "first" and doc["alpha"] == 0
     assert (doc["n"], doc["M"], doc["d"]) == (8, 8, 6)
     assert doc["omega"] == [2, 3, 3]
+    assert doc["distance_route"] == "pairwise"
     assert doc["lfvc"] == {"denominator": 6, "bound": "8", "verdict": "optimal"}
     assert doc["checks"] == {
         "composition_ok": True,

@@ -259,6 +259,20 @@ def test_verify_sweep_explicit_alphas(tmp_path):
     assert [inst["alpha"] for inst in doc["instances"]] == [0, 2]
 
 
+def test_verify_sweep_alphas_2_and_3_transfer_from_the_first_oracle_run(tmp_path):
+    # alpha = 2 is the field's first alpha != 0 instance, so it becomes the reference
+    code, doc = run_json(
+        tmp_path,
+        "s.json",
+        ["verify-sweep", "--p", "5", "--m", "3", "3", "--constructions", "first",
+         "--alphas", "2,3"],
+    )
+    assert code == 0
+    details = [inst["detail"] for inst in doc["instances"]]
+    assert [d["distance_route"] for d in details] == ["pairwise", "transferred"]
+    assert [d["d_pairwise"] for d in details] == [20, 20]
+
+
 def test_verify_sweep_empty_spec(monkeypatch, capsys):
     # a sweep that would check nothing is bad input, not a pass
     def must_not_run(*args, **kwargs):

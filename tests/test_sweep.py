@@ -2,6 +2,8 @@
 refused before any instance runs; the gauss, fiber and ambient verdicts can
 each read false, and gauss_check's work."""
 
+from collections import Counter
+
 import numpy as np
 import pytest
 
@@ -154,6 +156,49 @@ def test_repeated_prime_runs_once():
     report = run_sweep(spec)
     assert [(i.p, i.alpha) for i in report.instances] == [(3, 0), (3, 1), (3, 2)]
     assert report.to_json_dict()["spec"]["p_list"] == [3, 3]
+
+
+def _counting_oracle(monkeypatch):
+    calls, oracle = [], ccc.pairwise_min_distance
+    monkeypatch.setattr(ccc, "pairwise_min_distance", lambda *a: calls.append(a) or oracle(*a))
+    return calls
+
+
+def test_the_default_sweep_runs_the_oracle_33_times_every_time(monkeypatch):
+    # one alpha != 0 oracle per field below the cap: 64 calls without the transfer
+    calls = _counting_oracle(monkeypatch)
+    first = run_sweep(SweepSpec())
+    assert len(calls) == 33
+    second = run_sweep(SweepSpec())  # so nothing a sweep learnt outlives it
+    assert len(calls) == 66
+    assert first.to_json_dict(include_timing=False) == second.to_json_dict(include_timing=False)
+    ran = [i for i in first.instances if i.status == "ok"]
+    routes = Counter((i.detail["distance_route"], i.detail["d_pairwise"] is None) for i in ran)
+    assert routes == {
+        ("pairwise", False): 33, ("transferred", False): 31, ("ambient-only", True): 6
+    }
+    unconfirmed = {(i.p, i.m, i.alpha) for i in ran if i.detail["d_pairwise"] is None}
+    assert unconfirmed == {(7, 5, alpha) for alpha in range(1, 7)}
+
+
+def test_a_two_prime_sweep_never_carries_a_reference_across_fields(monkeypatch):
+    seen, verify = [], sweep.verify_first_instance
+
+    def recording(field, alpha, *, reference):
+        seen.append((field, alpha, reference))
+        return verify(field, alpha, reference=reference)
+
+    monkeypatch.setattr(sweep, "verify_first_instance", recording)
+    report = run_sweep(SweepSpec(p_list=(3, 5), m_min=2, m_max=2, constructions=("first",)))
+    assert len({id(reference) for _, _, reference in seen}) == 2  # one per field
+    for field, alpha, reference in seen:
+        assert reference.defining_set.field is field and reference.defining_set.alpha == 1
+    routes = [(i.p, i.alpha, i.detail["distance_route"]) for i in report.instances]
+    assert routes == [
+        (3, 0, "pairwise"), (3, 1, "pairwise"), (3, 2, "transferred"),
+        (5, 0, "pairwise"), (5, 1, "pairwise"),
+        (5, 2, "transferred"), (5, 3, "transferred"), (5, 4, "transferred"),
+    ]  # fmt: skip
 
 
 def test_composition_violation_is_a_fail_record(monkeypatch):

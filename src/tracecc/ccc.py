@@ -153,12 +153,6 @@ def _frobenius_permutation(ds) -> np.ndarray:
     return np.searchsorted(ds.indices, powers)  # n or a wrong slot for a power outside it
 
 
-def _scaled_indices(field, c: int, indices) -> np.ndarray:
-    """Sorted indices of c*x for the constant c in GF(p)^* and nonzero x, through the log table."""
-    shift = field.log[field.prime_subfield_indices()[c]]
-    return np.sort(field.powers[(field.log[indices] + shift) % (field.q - 1)])
-
-
 @dataclass
 class PairwiseReference:
     """The defining set and oracle distance of one field's first alpha != 0 subcode.
@@ -173,15 +167,17 @@ class PairwiseReference:
     def transfers_to(self, ds: DefiningSet, index: np.ndarray) -> bool:
         """Whether c = alpha/alpha_ref maps the reference's set onto `ds` and `index` onto itself.
 
-        Both are checked as sorted index arrays, so a broken check runs the oracle.
+        Both are compared as sorted index arrays, so a broken check runs the oracle.
         """
         ref = self.defining_set
         if ref is None or ref.field != ds.field:
             return False
         field = ds.field
         c = ds.alpha * pow(ref.alpha, -1, field.p) % field.p
-        maps_onto = lambda x, image: np.array_equal(_scaled_indices(field, c, x), image)
-        return maps_onto(ref.indices, ds.indices) and maps_onto(index, index)
+        shift = field.log[field.prime_subfield_indices()[c]]  # c*x = g^(log c + log x), x != 0
+        scaled = lambda x: np.sort(field.powers[(field.log[x] + shift) % (field.q - 1)])
+        sets_match = np.array_equal(scaled(ref.indices), ds.indices)
+        return sets_match and np.array_equal(scaled(index), index)
 
 
 class CccParams(NamedTuple):

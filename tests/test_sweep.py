@@ -158,15 +158,10 @@ def test_repeated_prime_runs_once():
     assert report.to_json_dict()["spec"]["p_list"] == [3, 3]
 
 
-def _counting_oracle(monkeypatch):
-    calls, oracle = [], ccc.pairwise_min_distance
-    monkeypatch.setattr(ccc, "pairwise_min_distance", lambda *a: calls.append(a) or oracle(*a))
-    return calls
-
-
 def test_the_default_sweep_runs_the_oracle_33_times_every_time(monkeypatch):
     # one alpha != 0 oracle per field below the cap: 64 calls without the transfer
-    calls = _counting_oracle(monkeypatch)
+    calls, oracle = [], ccc.pairwise_min_distance
+    monkeypatch.setattr(ccc, "pairwise_min_distance", lambda *a: calls.append(a) or oracle(*a))
     first = run_sweep(SweepSpec())
     assert len(calls) == 33
     second = run_sweep(SweepSpec())  # so nothing a sweep learnt outlives it

@@ -43,7 +43,6 @@ from .charsums import quadratic_trace_sign
 from .codes import (
     DefiningSet,
     TraceCode,
-    add_mod,
     build_defining_set_D,
     build_defining_set_E,
     build_trace_code,
@@ -54,6 +53,7 @@ from .codes import (
     second_family_terms,
 )
 from .errors import CompositionLengthMismatch, DuplicateWords, UnsupportedDegree
+from .gfpm import add_mod
 
 #: largest word count for which the pairwise oracle runs (its match matrix is one row per orbit)
 PAIRWISE_ORACLE_CAP = 5000

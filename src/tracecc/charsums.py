@@ -103,7 +103,9 @@ def quadratic_sums(field: Field, a2, a1, a0):
     """quadratic_sum for index arrays of triples, a2 nonzero: complex arrays (direct, closed).
 
     The direct side runs in blocks of triples that hold about
-    QUADRATIC_BLOCK_CELLS trace residues (a triple takes q of them).
+    QUADRATIC_BLOCK_CELLS trace residues (a triple takes q of them). It keeps its
+    own int32 trace rows, not Field.trace_of_multiples: a block holds few triples
+    (one at 7^5), and the kernel would rebuild its (p x q) lookups for each block.
     """
     p, zeta, d = field.p, _zeta_table(field.p), field.digits
     rows = max(1, QUADRATIC_BLOCK_CELLS // field.q)

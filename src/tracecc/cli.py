@@ -51,6 +51,8 @@ def _field(args):
 # Each handler returns (JSON document, human lines, ok), or (CSV text, None, ok) with
 # --format csv; main stamps and writes the report, routes the lines and sets the exit code.
 def _cmd_build(args):
+    if args.emit_codewords and args.format == "csv":
+        raise ValueError("--emit-codewords does not apply to --format csv, which holds no codeword")
     field = _field(args)
     code, sub = build_construction(field, args.construction, args.alpha)
     emitted = (code.distinct_count + sub.M) * code.length  # the build holds no codeword matrix

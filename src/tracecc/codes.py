@@ -6,7 +6,7 @@ canonical field order. GF(q)^* is cyclic, so the symbol counts of all q words
 are one FFT correlation of length q - 1 per symbol, rounded only inside a
 stated margin. Each weight (n minus the count of 0), the kernel {a : c_a = 0},
 whose cosets are the distinct words, and every subcode's composition are read
-from that table; words are built only on request, as digits[rows] @ gen mod p.
+from that table; words are built only on request, by Field.trace_of_multiples.
 The exhaustive weight census shares no logic with the closed-form predictors.
 """
 
@@ -30,7 +30,6 @@ from .errors import (
 from .gfpm import Field, FieldElement
 
 ROUNDING_MARGIN = 0.25  # farthest a float64 correlation may lie from an integer count
-WORD_BLOCK_ROWS = 1024  # codeword rows that TraceCode.words builds at once
 
 
 @dataclass(frozen=True)
@@ -118,19 +117,8 @@ class TraceCode:
         self.dimension = dimension
 
     def words(self, rows) -> np.ndarray:
-        """(len(rows), n) int8 codewords of the listed element indices: digits[rows] @ gen mod p.
-
-        gen = G @ digits(D).T with G the trace form; the product is summed one digit at a
-        time in 8 bits, one block of rows at a time, so a temporary holds one byte a symbol.
-        """
-        field, p = self.field, self.field.p
-        gen = field.trace_form @ field.digits[self.defining_set.indices].T.astype(np.int64)
-        out = np.zeros((len(rows), self.length), dtype=np.uint8)
-        for start in range(0, len(out), WORD_BLOCK_ROWS):
-            block = out[start : start + WORD_BLOCK_ROWS]
-            for g, digit in zip(gen, field.digits[rows[start : start + WORD_BLOCK_ROWS]].T):
-                add_mod(block, (np.arange(p)[:, None] * g % p).astype(np.uint8)[digit], p, block)
-        return out.view(np.int8)
+        """(len(rows), n) int8 codewords of the listed element indices: Tr(a*d) over D."""
+        return self.field.trace_of_multiples(rows, self.defining_set.indices)
 
     @cached_property
     def matrix(self) -> np.ndarray:
@@ -160,11 +148,6 @@ class TraceCode:
             f"TraceCode([{self.length}, {self.dimension}] over GF({self.field.p}), "
             f"defining set {self.defining_set.kind})"
         )
-
-
-def add_mod(x, y, p, out=None) -> np.ndarray:
-    """(x + y) mod p in uint8 for x, y in 0..p-1: a sum s - p wraps above s exactly when s < p."""
-    return np.minimum(total := np.add(x, y, out=out), total - np.uint8(p), out=total)
 
 
 def trace_count_table(ds: DefiningSet) -> np.ndarray:

@@ -29,6 +29,8 @@ from .errors import (
     ReducibleModulus,
 )
 
+TRACE_BLOCK_ROWS = 1024  # rows of the table that Field.trace_of_multiples builds at once
+
 
 def _is_prime(n: int) -> bool:
     if n < 2:
@@ -246,21 +248,24 @@ class Field:
     def powers(self) -> np.ndarray:
         """(q-1,) int64 indices of g^0, ..., g^(q-2), g the first primitive element by index.
 
-        g passes a scalar pow test against each prime factor of q - 1; the powers,
-        built by doubling with product_indices, must list every nonzero index once.
-        Every multiplicative table reads them: squares, eta, log and the trace spectra.
+        g passes a scalar pow test against each prime factor of q - 1. Multiplication by
+        g^L is GF(p)-linear: its m x m matrix (row i: the digits of g^L * x^i) gives the
+        next L powers, and squaring it mod p doubles L. The powers must list every nonzero
+        index once. Every multiplicative table reads them: squares, eta, log and spectra.
         """
         order = self.q - 1
         factors = [r for r in range(2, order + 1) if order % r == 0 and _is_prime(r)]
         candidates = (i for i in range(1, self.q) if all(
             self.element_at(i) ** (order // r) != self.one for r in factors))  # fmt: skip
-        g = next(candidates, self.one.index)  # in a ring that is no field none may pass
-        powers = np.array([self.one.index, g])[:order]
-        while len(powers) < order:  # g^L times g^0 .. g^(L-1) gives the next L powers
-            block, step = powers[: order - len(powers)], self.product_indices(powers[-1:], [g])
-            powers = np.append(powers, self.product_indices(block, step.repeat(len(block))))
+        g = self.element_at(next(candidates, self.one.index))  # in a ring none may pass
+        step = np.array([(g * self.basis_element(i)).coeffs for i in range(self.m)])
+        weights = np.array(self._index_weights)
+        powers = np.array([self.one.index])
+        while len(powers) < order:  # step multiplies by g^L, L = len(powers)
+            block = self.digits[powers[: order - len(powers)]] @ step % self.p
+            powers, step = np.append(powers, block @ weights), step @ step % self.p
         if not np.array_equal(np.sort(powers), np.arange(1, self.q)):
-            raise IdentityViolation(f"the powers of {self.element_at(g)!r} miss a nonzero element")
+            raise IdentityViolation(f"the powers of {g!r} miss a nonzero element")
         powers.setflags(write=False)
         return powers
 
@@ -295,26 +300,26 @@ class Field:
         digits = (self.digits[a].astype(np.int16) + self.digits[b]) % self.p
         return digits @ np.array(self._index_weights, dtype=np.int64)
 
-    def product_indices(self, a, b) -> np.ndarray:
-        """(n,) int64 indices of a[i] * b[i], for two length-n arrays of element indices.
+    def trace_of_multiples(self, a, x) -> np.ndarray:
+        """(len(a), len(x)) int8 table of Tr(a_i * x_j) for two arrays of element indices.
 
-        Each digit product a_i * b_j is folded onto the basis by the digits of
-        x^(i+j), one (i, j) at a time, so no (n, m*m) array of products is built.
+        Tr(a*x) is GF(p)-linear in each factor: the table is digits[a] @ gen mod p with
+        gen = G @ digits[x].T and G the trace form, summed one digit at a time in 8 bits,
+        TRACE_BLOCK_ROWS rows at a time, so a temporary holds one byte a cell.
         """
-        red = np.array(self._xpow, dtype=np.int32)  # (2m-1, m): digits of x^k mod the modulus
-        da, db = self.digits[a].astype(np.int16), self.digits[b]
-        prod = np.zeros((len(da), self.m), dtype=np.int32)
-        for i, j in itertools.product(range(self.m), repeat=2):
-            prod += (da[:, i] * db[:, j])[:, None] * red[i + j]
-        prod %= self.p
-        return (prod @ np.array(self._index_weights, dtype=np.int32)).astype(np.int64)
+        p = self.p
+        gen = self.trace_form @ self.digits[x].T.astype(np.int64)
+        out = np.zeros((len(a), len(x)), dtype=np.uint8)
+        for start in range(0, len(out), TRACE_BLOCK_ROWS):
+            block = out[start : start + TRACE_BLOCK_ROWS]
+            for g, digit in zip(gen, self.digits[a[start : start + TRACE_BLOCK_ROWS]].T):
+                add_mod(block, (np.arange(p)[:, None] * g % p).astype(np.uint8)[digit], p, block)
+        return out.view(np.int8)
 
-    def trace_of_multiples(self, c: "FieldElement") -> np.ndarray:
-        """(q,) int8 array of Tr(c*x) over the whole field in canonical order."""
-        if c.field != self:
-            raise FieldMismatch("element belongs to a different field")
-        col = (self.trace_form @ np.array(c.coeffs, dtype=np.int16)) % self.p
-        return ((self.digits.astype(np.int16) @ col) % self.p).astype(np.int8)
+
+def add_mod(x, y, p, out=None) -> np.ndarray:
+    """(x + y) mod p in uint8 for x, y in 0..p-1: a sum s - p wraps above s exactly when s < p."""
+    return np.minimum(total := np.add(x, y, out=out), total - np.uint8(p), out=total)
 
 
 class FieldElement:

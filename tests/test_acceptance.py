@@ -262,13 +262,14 @@ def _check_orthogonality(field, rng):
     p = field.p
     uniform = np.full(p, field.q // p)
     if field.q <= EXHAUSTIVE_FIELD_LIMIT:
-        cs = list(enumerate_field(field, nonzero_only=True))
+        cs = np.arange(1, field.q)
     else:
-        cs = [field.element_at(rng.randrange(1, field.q)) for _ in range(SAMPLE_COUNT)]
-    for c in cs:
-        counts = np.bincount(field.trace_of_multiples(c), minlength=p)
+        cs = np.array([rng.randrange(1, field.q) for _ in range(SAMPLE_COUNT)])
+    everything = np.arange(field.q)
+    for row in field.trace_of_multiples(cs, everything):
+        counts = np.bincount(row, minlength=p)
         assert (counts == uniform).all()
-    zero_counts = np.bincount(field.trace_of_multiples(field.zero), minlength=p)
+    zero_counts = np.bincount(field.trace_of_multiples([0], everything)[0], minlength=p)
     assert zero_counts[0] == field.q
 
 

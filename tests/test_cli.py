@@ -111,6 +111,16 @@ def test_build_emit_codewords_over_the_limit_exits_2(tmp_path, monkeypatch, caps
     assert main(argv + ["--emit-codewords"]) == 0
 
 
+def test_build_csv_refuses_emit_codewords_before_building(tmp_path, monkeypatch, capsys):
+    # the CSV holds only the weight table, so the flag is refused before any field is built
+    monkeypatch.setattr(cli, "make_field", lambda *args: pytest.fail("a field was built"))
+    out = tmp_path / "b.csv"
+    argv = ["build", "--p", "3", "--m", "10", "--construction", "second-S", "--format", "csv"]
+    assert main(argv + ["--emit-codewords", "--out", str(out)]) == 2
+    assert "--emit-codewords does not apply to --format csv" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_build_custom_modulus(tmp_path):
     code, doc = run_json(
         tmp_path,

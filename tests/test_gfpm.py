@@ -8,6 +8,7 @@ import itertools
 import random
 import weakref
 
+import numpy as np
 import pytest
 
 from tracecc import (
@@ -20,7 +21,7 @@ from tracecc import (
     make_field,
     quadratic_character,
 )
-from tracecc.gfpm import Field
+from tracecc.gfpm import TRACE_BLOCK_ROWS, Field
 
 from conftest import enumerate_field
 
@@ -229,12 +230,25 @@ def test_trace_form_matches_scalar_traces(p, m):
             assert g[i, k] == (f.basis_element(i) * f.basis_element(k)).trace()
 
 
-@pytest.mark.parametrize("p,m", [(3, 2), (3, 3)])
-def test_trace_of_multiples_matches_elementwise(p, m):
+@pytest.mark.parametrize(
+    "p,m,rows,columns",
+    [
+        (3, 2, None, None),
+        (3, 3, None, None),
+        # more rows than one block, and columns that are neither sorted nor contiguous
+        (37, 2, TRACE_BLOCK_ROWS + 300, 5),
+    ],
+    ids=["3-2", "3-3", "37-2-two-blocks"],
+)
+def test_trace_of_multiples_matches_elementwise(p, m, rows, columns):
     f = make_field(p, m)
-    elems = list(enumerate_field(f))
-    for c in elems:
-        assert f.trace_of_multiples(c).tolist() == [(c * x).trace() for x in elems]
+    rng = np.random.default_rng(5)
+    a = np.arange(f.q) if rows is None else rng.permutation(f.q)[:rows]
+    x = np.arange(f.q) if columns is None else rng.permutation(f.q)[:columns]
+    ys = [f.element_at(int(j)) for j in x]
+    expected = [[(f.element_at(int(i)) * y).trace() for y in ys] for i in a]
+    table = f.trace_of_multiples(a, x)
+    assert table.dtype == np.int8 and table.tolist() == expected
 
 
 @pytest.mark.parametrize("p,m", [(3, 1), (7, 1), (3, 3), (3, 4), (5, 2), (7, 2)])
@@ -242,19 +256,6 @@ def test_square_table_matches_elementwise(p, m):
     f = make_field(p, m)
     expected = [(x * x).index for x in enumerate_field(f)]
     assert f.square_index_table.tolist() == expected
-
-
-@pytest.mark.parametrize("p,m", [(3, 3), (5, 2), (7, 3)])
-def test_product_indices_match_naive_oracle(p, m):
-    f = make_field(p, m)
-    rng = random.Random(p * 100 + m)
-    a = [rng.randrange(f.q) for _ in range(300)]
-    b = [rng.randrange(f.q) for _ in range(300)]
-    expected = [
-        f.element(naive_mul(f.element_at(i).coeffs, f.element_at(j).coeffs, f.modulus, p)).index
-        for i, j in zip(a, b)
-    ]
-    assert f.product_indices(a, b).tolist() == expected
 
 
 @pytest.mark.parametrize("p,m", [(3, 3), (5, 2), (7, 3)])
@@ -267,7 +268,8 @@ def test_sum_indices_match_scalar_sums(p, m):
     assert f.sum_indices(a, b).tolist() == expected
 
 
-@pytest.mark.parametrize("p,m", [(3, 1), (3, 2), (3, 3), (3, 4), (5, 2), (7, 2)])
+# at (5, 3) and (7, 3) the step matrix is squared several times and the last block is partial
+@pytest.mark.parametrize("p,m", [(3, 1), (3, 2), (3, 3), (3, 4), (5, 2), (7, 2), (5, 3), (7, 3)])
 def test_powers_and_log_match_scalar_powers(p, m):
     f = make_field(p, m)
     g = f.element_at(int(f.powers[1]))
@@ -281,20 +283,6 @@ def test_powers_and_log_match_scalar_powers(p, m):
     # g is the first element of order q - 1 in canonical order
     assert order(g) == f.q - 1
     assert all(order(f.element_at(i)) < f.q - 1 for i in range(1, g.index))
-
-
-def test_a_repeated_power_is_refused():
-    f = make_field(3, 3)
-    product = f.product_indices
-
-    def stuck(a, b):  # the last product of each doubling repeats the first
-        out = product(a, b)
-        out[-1] = out[0]
-        return out
-
-    f.product_indices = stuck
-    with pytest.raises(IdentityViolation, match="miss a nonzero element"):
-        f.log
 
 
 @pytest.mark.parametrize("p", [131, 257])
@@ -349,17 +337,18 @@ def test_square_count_and_table(p, m):
 
 # x^2 - 1 splits over GF(3), so this ring is GF(3) x GF(3) and not a field
 @pytest.mark.parametrize(
-    "check",
+    "check,message",
     [
-        lambda ring: ring.basis_element(1).trace(),
-        lambda ring: ring.quadratic_character_table,
-        lambda ring: quadratic_character(ring.element([1, 1])),
-        lambda ring: ring.log,  # 1 + x passes the scalar test for order 8, but (1 + x)^3 = 1 + x
+        (lambda ring: ring.basis_element(1).trace(), "left the prime field"),
+        (lambda ring: ring.quadratic_character_table, "miss a nonzero element"),
+        (lambda ring: quadratic_character(ring.element([1, 1])), "neither 1 nor -1"),
+        # 1 + x passes the scalar test for order 8, but (1 + x)^3 = 1 + x
+        (lambda ring: ring.log, "miss a nonzero element"),
     ],
     ids=["trace", "character-table", "euler", "powers"],
 )
-def test_field_identities_are_checked(check):
-    with pytest.raises(IdentityViolation):
+def test_field_identities_are_checked(check, message):
+    with pytest.raises(IdentityViolation, match=message):
         check(Field(3, 2, (2, 0, 1)))
 
 

@@ -88,23 +88,17 @@ def test_only_plan_sweep_names_a_skip():
     assert {reason for _, reason, _ in found} == set(reasons)
 
 
-def test_only_field_powers_calls_product_indices():
-    # one multiplicative primitive: squares, eta, quotients and sigma read Field.powers or .log
+def test_only_gfpm_turns_the_trace_form_into_arrays():
+    # one trace kernel: codes and ccc ask Field.trace_of_multiples for words; quadratic_sums
+    # keeps its own trace rows because its blocks of few triples would rebuild the lookups
     found = []
     for path in sorted(PACKAGE.glob("*.py")):
+        if path.name == "gfpm.py":
+            continue
         for top in ast.parse(path.read_text(), filename=str(path)).body:
-            if isinstance(top, ast.ClassDef):  # a method's owner is module.Class.method
-                scopes = [(f"{top.name}.{getattr(m, 'name', '<class>')}", m) for m in top.body]
-            else:
-                scopes = [(getattr(top, "name", "<module>"), top)]
-            for name, scope in scopes:
-                owner = f"{path.stem}.{name}"
-                found += [
-                    (owner, f"{path.name}:{node.lineno} in {owner}")
-                    for node in ast.walk(scope)
-                    if isinstance(node, ast.Call)
-                    and isinstance(node.func, ast.Attribute)
-                    and node.func.attr == "product_indices"
-                ]
-    assert [where for owner, where in found if owner != "gfpm.Field.powers"] == []
-    assert found, "gfpm.Field.powers no longer builds the powers with product_indices"
+            found += [
+                (f"{path.stem}.{getattr(top, 'name', '<module>')}", f"{path.name}:{node.lineno}")
+                for node in ast.walk(top)
+                if isinstance(node, ast.Attribute) and node.attr in ("trace_form", "digits")
+            ]
+    assert [where for owner, where in found if owner != "charsums.quadratic_sums"] == []

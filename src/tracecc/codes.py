@@ -2,12 +2,12 @@
 
 A trace code is the linear code whose codeword for each index element a is
 c_a = (Tr(a*d1), ..., Tr(a*dn)) with the d's running over a defining set in
-canonical field order. GF(q)^* is cyclic, so the symbol counts of all q words
-are one FFT correlation of length q - 1 per symbol, rounded only inside a
-stated margin. Each weight (n minus the count of 0), the kernel {a : c_a = 0},
-whose cosets are the distinct words, and every subcode's composition are read
-from that table; words are built only on request, by Field.trace_of_multiples.
-The exhaustive weight census shares no logic with the closed-form predictors.
+canonical field order. GF(q)^* is cyclic, so the counts of 0 and 1 in all q words
+are two FFT correlations of length q - 1, rounded only inside a stated margin; Tr is
+GF(p)-linear, so s != 0 occurs in c_a as often as 1 in c_(a/s). Each weight (n minus
+the count of 0), the kernel {a : c_a = 0}, whose cosets are the distinct words, and
+every subcode's composition are read from that table; words are built only on request,
+by Field.trace_of_multiples. The census shares no logic with the closed-form predictors.
 """
 
 from __future__ import annotations
@@ -153,22 +153,22 @@ class TraceCode:
 def trace_count_table(ds: DefiningSet) -> np.ndarray:
     """(q, p) table of N[a, s] = #{d in D : Tr(a*d) = s}, the symbol counts of every word.
 
-    For a = g^i, N[a, s] = sum_k 1_D(g^k) [Tr(g^(i+k)) = s], one cyclic correlation per
-    symbol against the field's trace spectra, refused unless every value lies within
-    ROUNDING_MARGIN of an integer and every row sums to n.
+    For a = g^i, N[a, s] = sum_k 1_D(g^k) [Tr(g^(i+k)) = s]: two cyclic correlations against
+    the field's trace spectra give s = 0 and 1, and as Tr is GF(p)-linear, N[a, s] = N[a/s, 1].
+    Refused unless both lie within ROUNDING_MARGIN of integers and every row sums to n.
     """
-    field, n = ds.field, len(ds)
+    field, n, order = ds.field, len(ds), ds.field.q - 1
     member = np.zeros(2 * (field.trace_spectra.shape[1] - 1))
     member[field.log[ds.indices]] = 1.0
-    spectrum, corr = np.conj(np.fft.rfft(member)), np.empty((field.p, field.q - 1))
-    for s, row in enumerate(field.trace_spectra):  # one symbol at a time keeps one transform alive
-        corr[s] = np.fft.irfft(spectrum * row, len(member))[: field.q - 1]
-    table = np.rint(corr)
-    if np.abs(corr - table).max() > ROUNDING_MARGIN or (table.sum(axis=0) != n).any():
+    corr = np.fft.irfft(np.conj(np.fft.rfft(member)) * field.trace_spectra, len(member))[:, :order]
+    zeros, ones = table = np.rint(corr)
+    shifts = field.log[list(field.prime_subfield_indices())[1:]]  # log s for s = 1, ..., p-1
+    rolled = np.tile(ones, 2)[np.arange(order, 2 * order)[:, None] - shifts]  # N[g^(i-log s), 1]
+    if np.abs(corr - table).max() > ROUNDING_MARGIN or (zeros + rolled.sum(axis=1) != n).any():
         raise IdentityViolation(f"the symbol-count correlations over {field!r} are not counts")
     counts = np.zeros((field.q, field.p), dtype=np.min_scalar_type(n))
     counts[0, 0] = n  # the word of zero
-    counts[field.powers] = table.T
+    counts[field.powers, 0], counts[field.powers, 1:] = zeros, rolled
     return counts
 
 

@@ -282,15 +282,15 @@ class Field:
 
     @cached_property
     def trace_spectra(self) -> np.ndarray:
-        """(p, L/2 + 1) rfft of [Tr(g^j) = s] over two periods of g, one row per symbol s.
+        """(2, L/2 + 1) rfft of [Tr(g^j) = s] over two periods of g, for s = 0 and 1 only.
 
-        L is the least even 2^a 3^b 5^c >= 2(q-1): a correlation of length q - 1
-        against a row never wraps, and pocketfft stays on its fast radices.
+        L is the least even 2^a 3^b 5^c >= 2(q-1), so a correlation of length q - 1 never
+        wraps and pocketfft stays on its fast radices. Tr is GF(p)-linear: s != 0 rolls s = 1.
         """
         exponents = range(self.q.bit_length() + 2)
         smooth = {2**a * 3**b * 5**c for a in exponents[1:] for b in exponents for c in exponents}
         length = min(n for n in smooth if n >= 2 * (self.q - 1))
-        symbols = np.tile(self.trace_table[self.powers], 2) == np.arange(self.p)[:, None]
+        symbols = np.tile(self.trace_table[self.powers], 2) == np.arange(2)[:, None]
         spectra = np.fft.rfft(symbols, length)
         spectra.setflags(write=False)
         return spectra

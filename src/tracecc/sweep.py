@@ -207,6 +207,8 @@ def plan_sweep(spec: SweepSpec) -> list:
     if alphas != "all":
         if not alphas or not all(isinstance(a, int) and a >= 0 for a in alphas):
             raise ValueError("alphas must be 'all' or one or more non-negative integers")
+        if all(CONSTRUCTIONS[c].defining_set != "D-alpha" for c in spec.constructions):
+            raise ValueError("alphas apply only to a construction that takes an alpha")
         alphas = tuple(dict.fromkeys(alphas))
     plan = []
     for p in dict.fromkeys(spec.p_list):

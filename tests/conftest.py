@@ -48,12 +48,13 @@ def full_sweep_report():
     return run_sweep(SweepSpec())
 
 
-def spike_spectra(field, offset):
+def spike_spectra(field, offset, row=1):
     """Put the field's trace spectra off by a spike of `offset` at the start of the
-    second period of symbol 1's sequence: N[g^i, 1] moves by the offset for
-    every i with log d = q - 1 - i, d in the defining set."""
+    second period of symbol `row`'s sequence: N[g^i, row] moves by the offset for
+    every i with log d = q - 1 - i, d in the defining set. Row 1 is rolled into
+    every nonzero symbol's column, so a spike there moves all of them."""
     spectra = field.trace_spectra.copy()
     spike = np.zeros(2 * (spectra.shape[1] - 1))
     spike[field.q - 1] = offset
-    spectra[1] += np.fft.rfft(spike)
+    spectra[row] += np.fft.rfft(spike)
     field.__dict__["trace_spectra"] = spectra  # where the cached property keeps it

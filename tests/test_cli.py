@@ -385,6 +385,22 @@ def test_verify_sweep_bad_alpha_exits_before_any_instance(monkeypatch):
     assert main(["verify-sweep", "--p", "5", "3", "--m", "2", "2", "--alphas", "4"]) == 2
 
 
+def test_verify_sweep_alphas_without_a_construction_that_takes_one_exit_before_any_field(
+    monkeypatch, capsys
+):
+    def must_not_run(*args, **kwargs):
+        raise AssertionError("a field was built before the alphas were checked")
+
+    monkeypatch.setattr(sweep, "make_field", must_not_run)
+    for argv in (
+        ["--constructions", "second-S", "--alphas", "1"],
+        ["--p", "3", "--m", "2", "2", "--constructions", "second-S", "second-complement",
+         "--alphas", "9"],
+    ):
+        assert main(["verify-sweep", *argv]) == 2
+        assert "alphas apply only to a construction that takes an alpha" in capsys.readouterr().err
+
+
 def test_verify_sweep_failing_instance_is_reported(tmp_path, capsys, monkeypatch):
     pairwise = ccc.pairwise_min_distance
     calls = []

@@ -161,11 +161,16 @@ def test_dimension_is_checked(f27, monkeypatch):
         build_trace_code(build_defining_set_D(f27, 1))
 
 
-@pytest.mark.parametrize("offset", [0.3, -0.3])
-def test_correlation_off_an_integer_is_refused(offset):
+@pytest.mark.parametrize(
+    "offset,row",
+    # a whole count moved in one correlation passes the margin; only the row sums see it
+    [(0.3, 1), (-0.3, 1), (0.3, 0), (-0.3, 0), (1.0, 0), (-1.0, 0), (1.0, 1), (-1.0, 1)],
+    ids=["0.3", "-0.3", "0.3-row0", "-0.3-row0", "1.0-row0", "-1.0-row0", "1.0", "-1.0"],
+)
+def test_correlation_off_an_integer_is_refused(offset, row):
     field = make_field(3, 3)
     ds = build_defining_set_D(field, 1)
-    spike_spectra(field, offset)
+    spike_spectra(field, offset, row)
     with pytest.raises(IdentityViolation, match="not counts"):
         build_trace_code(ds)
 
@@ -244,15 +249,17 @@ def test_census_matches_naive_recount(f9):
     assert weight_distribution(code).as_dict() == recount
 
 
-@pytest.mark.parametrize("p,m", SWEEP_POINTS)
+@pytest.mark.parametrize("p,m", SWEEP_POINTS + [(11, 2), (13, 2), (11, 3)])
 def test_weights_from_symbol_counts_match_count_nonzero(sweep_fields, p, m):
-    # the correlation table against a bincount of every word of the lazily built matrix
+    # the correlation table against a bincount of every word of the lazily built matrix;
+    # columns 2..p-1 of the table are column 1 rolled, 9 to 11 of them from p = 11 on
+    field = sweep_fields[p, m] if (p, m) in sweep_fields else make_field(p, m)
     built = 0
     for construction in CONSTRUCTIONS:
         for alpha in range(p) if construction == "first" else [None]:
             try:
-                code, _ = build_construction(sweep_fields[p, m], construction, alpha)
-            except (DegenerateSet, OddDegree):  # E needs an even degree and is empty for 5^2
+                code, _ = build_construction(field, construction, alpha)
+            except (DegenerateSet, OddDegree):  # E: even m only; empty at m = 2 if p = 1 mod 4
                 continue
             words = code.matrix
             assert code.weights.tolist() == np.count_nonzero(words, axis=1).tolist()
@@ -260,7 +267,8 @@ def test_weights_from_symbol_counts_match_count_nonzero(sweep_fields, p, m):
                 assert code.counts[:, s].tolist() == np.count_nonzero(words == s, axis=1).tolist()
             assert np.flatnonzero(~words.any(axis=1)).tolist() == code.kernel.tolist()
             built += 1
-    assert built == p + 2 * (m % 2 == 0 and (p, m) != (5, 2))
+    assert built == p + 2 * (m % 2 == 0 and (m, p % 4) != (2, 1))
+    assert field.trace_spectra.shape[0] == 2  # the correlations of symbols 0 and 1 alone
 
 
 @pytest.mark.parametrize("p,m", [(3, 2), (3, 3), (3, 4), (5, 2), (5, 3), (7, 2)])

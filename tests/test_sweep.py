@@ -44,6 +44,8 @@ def test_each_field_is_built_once(monkeypatch):
         (SweepSpec(p_list=(5,), m_min=2, m_max=2, constructions=("second-S",)), ValueError),
         # a degree whose every field exceeds the q-cap, refused before any entry is planned
         (SweepSpec(m_max=18), ValueError),
+        # explicit alphas, but no requested construction takes one
+        (SweepSpec(constructions=("second-S", "second-complement"), alphas=(1,)), ValueError),
     ],
 )
 def test_bad_spec_is_refused_before_any_instance(monkeypatch, spec, error):

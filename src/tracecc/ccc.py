@@ -13,6 +13,9 @@ D(alpha != 0)) and the Frobenius coordinate permutation (one gather through
 the field's log table; D(alpha), E and every index set are closed under
 x -> x^p), each kept if its images, keyed to words and checked in row blocks,
 permute the words; one hit matrix per symbol orbit is summed over column blocks.
+D(0) and E are closed under GF(p)^* too, and Tr(a*lam*d) = lam*Tr(a*d): there the
+coordinate map d -> lam*d permutes the words as scaling does, so column lam*d is a
+symbol bijection of column d, and the sums take one column per orbit, times p - 1.
 
 The bound evaluation is exact integer/rational arithmetic throughout;
 optimality means M * denominator == n * d with no floating point involved.
@@ -68,7 +71,9 @@ def pairwise_min_distance(words, coordinate_maps=()) -> int:
     compared with all words: w -> w + 1, w -> lam*w mod p (p the largest symbol + 1,
     lam a primitive root mod p) and w -> w[sigma] for each permutation sigma given,
     each used only if checked to permute the words. So an equal pair meets a
-    representative: distance 0 raises DuplicateWords. Hits are summed per column block.
+    representative: distance 0 raises DuplicateWords. A sigma that permutes the words as a
+    kept symbol map f does has w[sigma] = f(w), so column sigma(k) agrees where column k does:
+    hits are summed per column block over one column per orbit of such sigma, times its size.
     """
     w = np.ascontiguousarray(np.asarray(words, dtype=np.int8))
     if w.ndim != 2 or w.shape[0] < 2:
@@ -76,26 +81,29 @@ def pairwise_min_distance(words, coordinate_maps=()) -> int:
     m_words, n = w.shape
     symbols = range(int(w.min(initial=0)), int(w.max(initial=0)) + 1)
     kept = _kept_maps(w, len(symbols) if symbols.start == 0 else 0, coordinate_maps)
-    label, previous = np.arange(m_words), None  # ends as the least index in each orbit
-    while not np.array_equal(label, previous):
-        previous, label = label, np.minimum.reduce([label] + [label[perm] for _, perm in kept])
-    reps = np.flatnonzero(label == np.arange(m_words))
+    reps = np.flatnonzero(_least_in_orbit(m_words, [perm for *_, perm in kept]) == np.arange(m_words))
+    folds = [sigma for _, sigma, perm in kept if sigma is not None and any(
+        table is not None and np.array_equal(perm, other) for table, _, other in kept)]  # fmt: skip
+    weight = np.bincount(_least_in_orbit(n, folds), minlength=n).astype(np.float32)  # orbit sizes
+    folded = len(columns := np.flatnonzero(weight)) < n  # one column per orbit, its least
     matches = np.zeros((len(reps), m_words), dtype=np.float32)  # exact: counts stay below 2**24
     hits = np.empty((m_words, min(n, PAIRWISE_COLUMN_BLOCK)), dtype=np.float32)  # no bool copy
     rows_of = {}  # symbol s -> rows Q of its orbit's least symbol b with hits_s = hits_b[Q]
     for base in (s for s in symbols if s not in rows_of):
         rows_of[base], orbit = np.arange(m_words), [base]
         for s in orbit:  # f(w_j) = w_P(j) gives hits_t = hits_s[P] for t = f^-1(s)
-            for inverse, perm in kept:
+            for inverse, _, perm in kept:
                 if inverse is not None and inverse[s] not in rows_of:
                     rows_of[inverse[s]] = rows_of[s][perm]
                     orbit.append(inverse[s])
         rows = np.concatenate([rows_of[s][reps] for s in orbit])
         block = np.zeros((len(rows), m_words), dtype=np.float32)
-        for start in range(0, n, PAIRWISE_COLUMN_BLOCK):  # hits on one block J of columns
-            hits_j = hits[:, : min(PAIRWISE_COLUMN_BLOCK, n - start)]
-            np.equal(w[:, start : start + hits_j.shape[1]], base, out=hits_j, casting="unsafe")
-            block += hits_j[rows] @ hits_j.T
+        for start in range(0, len(columns), PAIRWISE_COLUMN_BLOCK):  # hits on a block J of columns
+            j = columns[start : start + PAIRWISE_COLUMN_BLOCK]
+            hits_j, cut = hits[:, : len(j)], j if folded else slice(start, start + len(j))
+            np.equal(w[:, cut], base, out=hits_j, casting="unsafe")  # a view unless folded
+            left = hits_j[rows]  # times the orbit sizes, in place, if columns were folded
+            block += (np.multiply(left, weight[j], out=left) if folded else left) @ hits_j.T
         for s, part in zip(orbit, block.reshape(len(orbit), len(reps), m_words)):
             matches += part if s == base else part[:, rows_of[s]]
     matches[np.arange(len(reps)), reps] = -1.0
@@ -104,27 +112,39 @@ def pairwise_min_distance(words, coordinate_maps=()) -> int:
     return distance
 
 
+def _least_in_orbit(size, perms) -> np.ndarray:
+    """The least of 0..size-1 in each one's orbit under the permutations: min-label propagation."""
+    label, previous = np.arange(size), None
+    while not np.array_equal(label, previous):
+        previous, label = label, np.minimum.reduce([label] + [label[perm] for perm in perms])
+    return label
+
+
+def _primitive_root(p) -> int:  # the least primitive root mod p; 1 if there is none
+    return next((g for g in range(2, p) if len({pow(g, k, p) for k in range(1, p)}) == p - 1), 1)
+
+
 def _kept_maps(w, p, coordinate_maps) -> list:
-    """(f^-1 as a symbol table, or None for a coordinate map, P) per f with f(w_j) = w_P(j).
+    """(f^-1 for a symbol map else None, sigma for w -> w[sigma] else None, P), f(w_j) = w_P(j).
 
     P is found by a key packing the digits on a seeded sample of coordinates; f is kept
     only if P permutes 0..M-1 and f(w) == w[P], checked one block of rows at a time.
     """
-    maps = []  # (f^-1 or None, f on a block of rows)
+    maps = []  # (f^-1 or None, sigma or None, f on a block of rows)
     if p:  # a negative symbol would wrap
-        lam = next((g for g in range(2, p) if len({pow(g, k, p) for k in range(1, p)}) == p - 1), 1)
-        maps = [([(s - 1) % p for s in range(p)], lambda x: add_mod(x.view(np.uint8), 1, p))]
-        maps.append(([s * pow(lam, -1, p) % p for s in range(p)], lambda x: _scaled(x, lam, p)))
+        lam = _primitive_root(p)
+        maps = [([(s - 1) % p for s in range(p)], None, lambda x: add_mod(x.view(np.uint8), 1, p))]
+        maps.append(([s * pow(lam, -1, p) % p for s in range(p)], None, lambda x: _scaled(x, lam, p)))
     for sigma in coordinate_maps:  # only a permutation of the coordinates keeps distances
         if np.array_equal(np.sort(sigma), np.arange(w.shape[1])):
-            maps.append((None, lambda x, sigma=sigma: np.take(x, sigma, axis=1)))
+            maps.append((None, sigma, lambda x, sigma=sigma: np.take(x, sigma, axis=1)))
     radix = int(w.view(np.uint8).max(initial=1)) + 1  # a negative symbol reads as a large byte
     width = max(k for k in range(1, 64) if radix**k <= 2**63)  # so the largest key fits
     columns = np.sort(np.random.default_rng(0).permutation(w.shape[1])[:width])
     key = lambda rows: rows[:, columns].view(np.uint8) @ np.int64(radix) ** np.arange(len(columns))
     order = np.argsort(key(w), kind="stable")
     sorted_keys, kept = key(w)[order], []
-    for table, f in maps:
+    for table, sigma, f in maps:
         perm = np.empty(len(w), dtype=np.int64)
         for start in range(0, len(w), PAIRWISE_ROW_BLOCK):  # a shared key can only drop f
             image = f(w[start : start + PAIRWISE_ROW_BLOCK]).view(np.int8)
@@ -134,7 +154,7 @@ def _kept_maps(w, p, coordinate_maps) -> list:
                 break
         else:
             if np.array_equal(np.sort(perm), np.arange(len(w))):
-                kept.append((table, perm))
+                kept.append((table, sigma, perm))
     return kept
 
 
@@ -146,11 +166,15 @@ def _scaled(rows, lam, p) -> np.ndarray:
     return acc
 
 
-def _frobenius_permutation(ds) -> np.ndarray:
-    """sigma with c_a[sigma] = c_(a^(1/p)): sigma(j) is the position of d_j^p in the set."""
-    field = ds.field
-    powers = field.powers[field.p * field.log[ds.indices] % (field.q - 1)]
-    return np.searchsorted(ds.indices, powers)  # n or a wrong slot for a power outside it
+def _coordinate_maps(ds) -> list:
+    """[Frobenius, scaling] sigma: c_a[sigma] = c_(a^(1/p)), resp. lam*c_a (lam as in _kept_maps).
+
+    sigma(j) is the position of d_j^p, resp. lam*d_j, in the set: n or a wrong slot if outside it.
+    """
+    field, logs = ds.field, ds.field.log[ds.indices]
+    lam = field.log[field.prime_subfield_indices()[_primitive_root(field.p)]]  # as a power of g
+    images = field.powers[np.stack([field.p * logs, logs + lam]) % (field.q - 1)]
+    return list(np.searchsorted(ds.indices, images))
 
 
 @dataclass
@@ -249,7 +273,7 @@ def _extract(code: TraceCode, construction: str, *, reference=None) -> CccCode:
     if reference is not None and ds.alpha and reference.transfers_to(ds, index):
         d_pairwise, route = reference.d_pairwise, "transferred"
     elif len(rows) <= PAIRWISE_ORACLE_CAP:  # the words and sigma are made for the oracle alone
-        d_pairwise = pairwise_min_distance(code.words(rows), [_frobenius_permutation(ds)])
+        d_pairwise = pairwise_min_distance(code.words(rows), _coordinate_maps(ds))
         route = "pairwise"
         if reference is not None and ds.alpha and reference.defining_set is None:
             reference.defining_set, reference.d_pairwise = ds, d_pairwise

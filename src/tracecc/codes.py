@@ -128,6 +128,8 @@ class TraceCode:
     def coset_rows(self, index) -> np.ndarray:
         """The least element of each kernel coset in the sorted `index`, a union of cosets."""
         index, k = np.asarray(index, dtype=np.int64), len(self.kernel)
+        if k == 1:  # each coset {a} is its own row
+            return index
         cosets = self.field.sum_indices(index.repeat(k), np.tile(self.kernel, len(index)))
         rows = index[cosets.reshape(-1, k).min(axis=1) == index]
         if not np.isin(cosets, index).all() or len(rows) * k != len(index):

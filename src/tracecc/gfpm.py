@@ -16,6 +16,7 @@ field, and hence every report, reproducible bit for bit.
 from __future__ import annotations
 
 import itertools
+import math
 from functools import cached_property
 
 import numpy as np
@@ -33,14 +34,7 @@ TRACE_BLOCK_ROWS = 1024  # rows of the table that Field.trace_of_multiples build
 
 
 def _is_prime(n: int) -> bool:
-    if n < 2:
-        return False
-    i = 2
-    while i * i <= n:
-        if n % i == 0:
-            return False
-        i += 1
-    return True
+    return n >= 2 and all(n % i for i in range(2, math.isqrt(n) + 1))
 
 
 def _poly_divides(g, f, p):
@@ -69,7 +63,7 @@ def _is_irreducible(f, p) -> bool:
 
 
 def _smallest_irreducible(p, m):
-    for coeffs in itertools.product(range(p), repeat=m):
+    for coeffs in itertools.product(range(m > 1, p), *[range(p)] * (m - 1)):  # x divides c0 = 0
         f = list(coeffs) + [1]
         if _is_irreducible(f, p):
             return tuple(f)
@@ -211,12 +205,12 @@ class Field:
 
     @cached_property
     def trace_form(self) -> np.ndarray:
-        """(m, m) int16 Gram matrix of the trace form, G[i, k] = Tr(x^i * x^k).
+        """(m, m) int16 Gram matrix of the trace form, G[i, k] = Tr(x^i * x^k) = Tr(x^(i+k)).
 
-        Tr(a*b) = digits(a) @ G @ digits(b) (mod p): m*m scalar traces stand in for all others.
+        Tr(a*b) = digits(a) @ G @ digits(b) (mod p): 2m - 1 scalar traces stand in for all others.
         """
-        basis = [self.basis_element(i) for i in range(self.m)]
-        g = np.array([[(b * c).trace() for c in basis] for b in basis], dtype=np.int16)
+        traces = np.array([FieldElement(self, row).trace() for row in self._xpow], dtype=np.int16)
+        g = traces[np.add.outer(np.arange(self.m), np.arange(self.m))]
         g.setflags(write=False)
         return g
 

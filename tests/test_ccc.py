@@ -38,7 +38,7 @@ from tracecc import (
 from tracecc.ccc import (
     CONSTRUCTIONS,
     PairwiseReference,
-    _frobenius_permutation,
+    _coordinate_maps,
     _kept_maps,
     build_construction,
     ccc_json,
@@ -189,7 +189,7 @@ def test_pairwise_oracle_with_the_shift_alone():
 
 def test_pairwise_oracle_drops_maps_that_do_not_keep_the_words():
     p, m, sub = 5, 3, first_subcode(5, 3, 1)
-    sigma = _frobenius_permutation(sub.source.defining_set)
+    sigma = _coordinate_maps(sub.source.defining_set)[0]
     words = sub.words.copy()
     rows = words.tolist()
     index = {tuple(w): i for i, w in enumerate(rows)}
@@ -246,7 +246,7 @@ def test_frobenius_permutation_matches_repeated_products(sweep_fields, p, m):
         sets.append(build_defining_set_E(field))
     rng = np.random.default_rng(p * 10 + m)
     for ds in sets:
-        sigma = _frobenius_permutation(ds)
+        sigma = _coordinate_maps(ds)[0]
         # every position up to 7^4, a seeded sample at 5^5 and 7^5: the scalar route is slow
         positions = np.arange(len(ds)) if field.q <= 7**4 else rng.choice(len(ds), 200)
         for j in positions:
@@ -256,9 +256,9 @@ def test_frobenius_permutation_matches_repeated_products(sweep_fields, p, m):
 
 def test_pairwise_oracle_drops_a_coordinate_permutation_that_moves_a_word_out():
     sub = first_subcode(3, 3, 0)
-    sigma = _frobenius_permutation(sub.source.defining_set)
+    sigma = _coordinate_maps(sub.source.defining_set)[0]
     for maps, kept in [([sigma], 1), ([sigma[::-1]], 0)]:
-        assert sum(table is None for table, _ in _kept_maps(sub.words, 3, maps)) == kept
+        assert sum(table is None for table, _, _ in _kept_maps(sub.words, 3, maps)) == kept
         assert pairwise_min_distance(sub.words, maps) == naive_pairwise_min(sub.words.tolist())
 
 
@@ -277,9 +277,10 @@ def test_pairwise_oracle_kernel_per_symbol_orbit(alpha, shift, symbol_maps):
         maps = []
     else:
         sub = first_subcode(p, 3, alpha)
-        words, maps = sub.words, [_frobenius_permutation(sub.source.defining_set)]
+        words, maps = sub.words, [_coordinate_maps(sub.source.defining_set)[0]]
     assert words.max() + 1 == p
-    tables = [table for table, _ in _kept_maps(words.astype(np.int8), p, maps) if table is not None]
+    kept = _kept_maps(words.astype(np.int8), p, maps)
+    tables = [table for table, _, _ in kept if table is not None]
     assert (len(tables), [(s - 1) % p for s in range(p)] in tables) == (symbol_maps, shift)
     assert pairwise_min_distance(words, maps) == naive_pairwise_min(words.tolist())
 
@@ -288,7 +289,7 @@ def test_pairwise_oracle_traced_peak_stays_below_four_bytes_per_symbol():
     # the GF(7^5) alpha = 0 subcode (M = n = 2400) with its Frobenius map, as the sweep runs it;
     # whole map images and a float32 hit matrix over all n coordinates read 8.3 bytes a symbol
     sub = first_subcode(7, 5, 0)
-    words, sigma = sub.words, _frobenius_permutation(sub.source.defining_set)
+    words, sigma = sub.words, _coordinate_maps(sub.source.defining_set)[0]
     tracemalloc.start()
     try:
         before = tracemalloc.get_traced_memory()[0]
@@ -299,6 +300,92 @@ def test_pairwise_oracle_traced_peak_stays_below_four_bytes_per_symbol():
     assert peak < 4 * words.size
 
 
+def test_pairwise_oracle_traced_peak_with_both_sweep_maps():
+    # the same subcode with the scaling map as well, which folds the 2400 columns into 400
+    sub = first_subcode(7, 5, 0)
+    words, maps = sub.words, _coordinate_maps(sub.source.defining_set)
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        distance = pairwise_min_distance(words, maps)
+        peak = tracemalloc.get_traced_memory()[1] - before
+    finally:
+        tracemalloc.stop()
+    assert distance == sub.d_ambient
+    assert peak < 4 * words.size
+
+
+def orbit_counts(monkeypatch):
+    """(size, orbit count) of each _least_in_orbit call: the oracle's rows, then its columns."""
+    calls, least = [], ccc._least_in_orbit
+
+    def counted(size, perms):
+        label = least(size, perms)
+        calls.append((size, int((label == np.arange(size)).sum())))
+        return label
+
+    monkeypatch.setattr(ccc, "_least_in_orbit", counted)
+    return calls
+
+
+@pytest.mark.parametrize(
+    "p,m,construction",
+    [
+        (3, 4, "first"),
+        (3, 4, "second-S"),
+        (3, 4, "second-complement"),
+        (5, 4, "first"),
+        (5, 4, "second-S"),
+        (5, 4, "second-complement"),
+        (5, 3, "first"),
+    ],
+)
+def test_pairwise_oracle_with_both_sweep_maps_matches_naive(monkeypatch, p, m, construction):
+    # D(0) and E are closed under GF(p)^*: column sigma_lam(k) is lam times column k
+    alpha = 0 if construction == "first" else None
+    sub = build_construction(make_field(p, m), construction, alpha)[1]
+    calls = orbit_counts(monkeypatch)
+    distance = pairwise_min_distance(sub.words, _coordinate_maps(sub.source.defining_set))
+    assert distance == naive_pairwise_min(sub.words.tolist())
+    assert calls[-1] == (sub.n, sub.n // (p - 1))
+
+
+def test_pairwise_oracle_folds_nothing_with_a_broken_scaling_map(monkeypatch):
+    # two entries of sigma_lam swapped: still a permutation, but its images are no words
+    p, sub = 5, first_subcode(5, 3, 0)
+    frobenius, scaling = _coordinate_maps(sub.source.defining_set)
+    broken = scaling.copy()
+    broken[[0, 1]] = scaling[[1, 0]]
+    assert np.array_equal(np.sort(broken), np.arange(sub.n))
+    kept = _kept_maps(sub.words, p, [frobenius, broken])
+    assert [sigma is frobenius for _, sigma, _ in kept if sigma is not None] == [True]
+    calls = orbit_counts(monkeypatch)
+    distance = pairwise_min_distance(sub.words, [frobenius, broken])
+    assert distance == naive_pairwise_min(sub.words.tolist()) == sub.d_ambient
+    assert calls[-1] == (sub.n, sub.n)
+
+
+@pytest.mark.parametrize("p,m", SWEEP_POINTS)
+def test_sweep_folds_columns_on_D0_and_E_and_never_on_D_alpha(sweep_fields, monkeypatch, p, m):
+    # lam*D(alpha) = D(lam*alpha): for alpha != 0 sigma_lam is no permutation, so it is
+    # dropped before any word is touched; D(0) and E fold into orbits of p - 1 columns
+    field = sweep_fields[p, m]
+    for alpha in range(1, p):
+        ds = build_defining_set_D(field, alpha)
+        assert not np.array_equal(np.sort(_coordinate_maps(ds)[1]), np.arange(len(ds)))
+    calls = orbit_counts(monkeypatch)
+    for construction in CONSTRUCTIONS:
+        if CONSTRUCTIONS[construction].defining_set == "E" and (m % 2 or p**m == 25):
+            continue  # E needs an even degree and is empty over GF(5^2)
+        for alpha in range(p) if construction == "first" else [None]:
+            calls.clear()
+            sub = build_construction(field, construction, alpha)[1]
+            if sub.distance_route == "pairwise":
+                assert calls[-1] == (sub.n, sub.n if alpha else sub.n // (p - 1))
+            else:  # only 7^5 alpha != 0 is over the cap
+                assert (p, m) == (7, 5) and alpha and calls == []
+
+
 def test_pairwise_oracle_exact_on_words_the_key_cannot_tell_apart():
     # {s * e_i}: n = 40 exceeds the 27 base-5 digits of a 63-bit key, so the words whose one
     # nonzero symbol lies off the sampled coordinates all share the key 0
@@ -307,8 +394,9 @@ def test_pairwise_oracle_exact_on_words_the_key_cannot_tell_apart():
     cycle = np.roll(np.arange(n), 1)
     kept = _kept_maps(words, p, [cycle])
     assert len(kept) < 2  # scaling and the cycle both keep the set; a shared key drops one
-    for table, perm in kept:  # and what is kept was checked
+    for table, sigma, perm in kept:  # and what is kept was checked
         if table is None:
+            assert sigma is cycle
             assert np.array_equal(np.take(words, cycle, axis=1), words[perm])
         else:
             assert np.array_equal(np.take(table, words[perm]), words)
@@ -571,12 +659,13 @@ def test_pairwise_orbit_oracle_matches_naive(p, m, construction, alpha):
     assert sub.words.max() + 1 == p  # so the oracle's maps are taken mod p
     # and under the Frobenius map: sigma(j) is the position of d_j^p, by scalar arithmetic
     field, indices = sub.source.field, sub.source.defining_set.indices
-    sigma = _frobenius_permutation(sub.source.defining_set)
+    sigma = _coordinate_maps(sub.source.defining_set)[0]
     assert np.array_equal(np.sort(sigma), np.arange(sub.n))
     assert indices[sigma].tolist() == [(field.element_at(int(d)) ** p).index for d in indices]
     assert {tuple(w) for w in np.take(sub.words, sigma, axis=1).tolist()} == closed
     distance = naive_pairwise_min(words)
     assert pairwise_min_distance(sub.words) == pairwise_min_distance(sub.words, [sigma]) == distance
+    assert pairwise_min_distance(sub.words, _coordinate_maps(sub.source.defining_set)) == distance
 
 
 # -- distance oracle agrees with the ambient shortcut -----------------------------------------

@@ -208,6 +208,23 @@ def test_index_kernel_of_D0_is_prime_subfield(f27):
     assert zero_indices == set(f27.prime_subfield_indices())
 
 
+def test_coset_rows_of_a_zero_kernel_are_the_index_itself(f27, monkeypatch):
+    def refused(self, a, b):
+        raise AssertionError("a zero kernel needs no coset sums")
+
+    monkeypatch.setattr(type(f27), "sum_indices", refused)
+    f81 = make_field(3, 4)
+    for construction, field, alpha in [("first", f27, 1), ("first", f27, 2), ("second-S", f81, None)]:
+        entry = CONSTRUCTIONS[construction]
+        ds = (build_defining_set_D(field, alpha) if alpha else build_defining_set_E(field))
+        code = build_trace_code(ds)
+        index = np.flatnonzero(entry.index_mask(field))
+        assert len(code.kernel) == 1
+        assert np.array_equal(code.coset_rows(index), index)
+    with pytest.raises(AssertionError):  # D(0) has the prime field as kernel: the sums run
+        build_trace_code(build_defining_set_D(f27, 0)).coset_rows(np.arange(f27.q))
+
+
 def test_codeword_difference_matches_index_difference(f27):
     code = build_trace_code(build_defining_set_D(f27, 1))
     import random

@@ -93,6 +93,22 @@ def test_default_modulus_matches_independent_scan(p, m):
     assert make_field(p, m).modulus == expected
 
 
+@pytest.mark.parametrize(
+    "p,m,modulus",
+    [
+        (3, 4, (1, 0, 1, 1, 1)),
+        (3, 5, (1, 0, 0, 0, 2, 1)),
+        (5, 4, (1, 0, 1, 1, 1)),
+        (5, 5, (1, 0, 0, 0, 4, 1)),
+        (7, 4, (1, 0, 0, 1, 1)),
+        (7, 5, (1, 0, 0, 0, 3, 1)),
+    ],
+)
+def test_default_modulus_frozen_above_degree_three(p, m, modulus):
+    # the scan skips the candidates with a zero constant term, which x divides
+    assert make_field(p, m).modulus == modulus
+
+
 def test_explicit_reducible_modulus_rejected():
     with pytest.raises(ReducibleModulus):
         make_field(3, 2, [1, 2, 1])  # (x+1)^2
@@ -221,6 +237,18 @@ def test_trace_table_matches_elementwise(p, m):
 
 @pytest.mark.parametrize("p,m", [(3, 2), (5, 2), (3, 3), (3, 4)])
 def test_trace_form_matches_scalar_traces(p, m):
+    f = make_field(p, m)
+    g = f.trace_form
+    assert g.shape == (m, m)
+    assert (g == g.T).all()
+    for i in range(m):
+        for k in range(m):
+            assert g[i, k] == (f.basis_element(i) * f.basis_element(k)).trace()
+
+
+@pytest.mark.parametrize("p,m", [(5, 5), (7, 5)])
+def test_trace_form_matches_scalar_traces_at_degree_five(p, m):
+    # the Hankel matrix of 2m - 1 traces against all m * m products' scalar traces
     f = make_field(p, m)
     g = f.trace_form
     assert g.shape == (m, m)

@@ -85,7 +85,7 @@ def pairwise_min_distance(words, coordinate_maps=()) -> int:
     folds = [sigma for _, sigma, perm in kept if sigma is not None and any(
         table is not None and np.array_equal(perm, other) for table, _, other in kept)]  # fmt: skip
     weight = np.bincount(_least_in_orbit(n, folds), minlength=n).astype(np.float32)  # orbit sizes
-    folded = len(columns := np.flatnonzero(weight)) < n  # one column per orbit, its least
+    folded = len(columns := np.flatnonzero(weight)) < n  # sizes sit at each orbit's least column
     matches = np.zeros((len(reps), m_words), dtype=np.float32)  # exact: counts stay below 2**24
     hits = np.empty((m_words, min(n, PAIRWISE_COLUMN_BLOCK)), dtype=np.float32)  # no bool copy
     rows_of = {}  # symbol s -> rows Q of its orbit's least symbol b with hits_s = hits_b[Q]

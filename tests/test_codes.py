@@ -214,9 +214,10 @@ def test_coset_rows_of_a_zero_kernel_are_the_index_itself(f27, monkeypatch):
 
     monkeypatch.setattr(type(f27), "sum_indices", refused)
     f81 = make_field(3, 4)
-    for construction, field, alpha in [("first", f27, 1), ("first", f27, 2), ("second-S", f81, None)]:
+    cases = [("first", f27, 1), ("first", f27, 2), ("second-S", f81, None)]
+    for construction, field, alpha in cases:
         entry = CONSTRUCTIONS[construction]
-        ds = (build_defining_set_D(field, alpha) if alpha else build_defining_set_E(field))
+        ds = build_defining_set_D(field, alpha) if alpha else build_defining_set_E(field)
         code = build_trace_code(ds)
         index = np.flatnonzero(entry.index_mask(field))
         assert len(code.kernel) == 1

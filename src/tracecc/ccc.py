@@ -7,15 +7,15 @@ ambient code's symbol-count table over the index set. Only the oracle's words
 are built. Extraction keeps two independent routes to the minimum distance,
 stored so reports can compare them: the pairwise census (the oracle) and the
 ambient minimum weight (the shortcut justified by the difference argument).
-Skipped above PAIRWISE_ORACLE_CAP words, the oracle compares one word per orbit
-of scaling (every index set is closed under GF(p)^*), the all-ones shift (for
-D(alpha != 0)) and the Frobenius coordinate permutation (one gather through
-the field's log table; D(alpha), E and every index set are closed under
-x -> x^p), each kept if its images, keyed to words and checked in row blocks,
-permute the words; one hit matrix per symbol orbit is summed over column blocks.
-D(0) and E are closed under GF(p)^* too, and Tr(a*lam*d) = lam*Tr(a*d): there the
-coordinate map d -> lam*d permutes the words as scaling does, so column lam*d is a
-symbol bijection of column d, and the sums take one column per orbit, times p - 1.
+Skipped above PAIRWISE_ORACLE_CAP words, the oracle compares one word per orbit of
+the maps that extraction names from the field's log table, each with its word permutation:
+scaling (every index set is closed under GF(p)^*), the all-ones shift (for D(alpha != 0)),
+the Frobenius coordinate permutation (D(alpha), E and every index set are closed under
+x -> x^p) and d -> lam*d. It keeps a map only if its images, checked in row blocks, are
+the named words, so a wrong permutation costs time, never a distance; one hit matrix per
+symbol orbit is summed over column blocks. D(0) and E are closed under GF(p)^*, and
+Tr(a*lam*d) = lam*Tr(a*d): there d -> lam*d permutes the words as scaling does, so column
+lam*d is a symbol bijection of column d, and the sums take one column per orbit, times p - 1.
 
 The bound evaluation is exact integer/rational arithmetic throughout;
 optimality means M * denominator == n * d with no floating point involved.
@@ -64,28 +64,28 @@ PAIRWISE_ROW_BLOCK = 1024  # rows of a map's image that the oracle builds and ch
 PAIRWISE_COLUMN_BLOCK = 256  # coordinates whose hit products the oracle sums at once
 
 
-def pairwise_min_distance(words, coordinate_maps=()) -> int:
+def pairwise_min_distance(words, symmetries=()) -> int:
     """Exact minimum Hamming distance over all unordered pairs of words.
 
-    Maps of the word set onto itself keep distances, so one word per orbit is
-    compared with all words: w -> w + 1, w -> lam*w mod p (p the largest symbol + 1,
-    lam a primitive root mod p) and w -> w[sigma] for each permutation sigma given,
-    each used only if checked to permute the words. So an equal pair meets a
-    representative: distance 0 raises DuplicateWords. A sigma that permutes the words as a
-    kept symbol map f does has w[sigma] = f(w), so column sigma(k) agrees where column k does:
-    hits are summed per column block over one column per orbit of such sigma, times its size.
+    Each of `symmetries` is a map with its word permutation P, f(w_j) = w_P(j): ((a, b, p),
+    None, P) for s -> a*s + b mod p, (None, sigma, P) for w -> w[sigma]. Maps that _kept_maps
+    finds to permute the words keep distances, so one word per orbit of those is compared
+    with all words (with none, every word is), and an equal pair meets a representative:
+    distance 0 raises DuplicateWords. A sigma whose P is a kept symbol map f's has
+    w[sigma] = f(w), so column sigma(k) agrees where column k does: hits are summed per
+    column block over one column per orbit of such sigma, times its size.
     """
     w = np.ascontiguousarray(np.asarray(words, dtype=np.int8))
     if w.ndim != 2 or w.shape[0] < 2:
         raise ValueError("need a 2-d array of at least two words")
     m_words, n = w.shape
     symbols = range(int(w.min(initial=0)), int(w.max(initial=0)) + 1)
-    kept = _kept_maps(w, len(symbols) if symbols.start == 0 else 0, coordinate_maps)
+    kept = _kept_maps(w, symmetries)
     reps = np.flatnonzero(_least_in_orbit(m_words, [perm for *_, perm in kept]) == np.arange(m_words))
     folds = [sigma for _, sigma, perm in kept if sigma is not None and any(
         table is not None and np.array_equal(perm, other) for table, _, other in kept)]  # fmt: skip
     weight = np.bincount(_least_in_orbit(n, folds), minlength=n).astype(np.float32)  # orbit sizes
-    folded = len(columns := np.flatnonzero(weight)) < n  # sizes sit at each orbit's least column
+    columns = np.flatnonzero(weight)  # the sizes sit at each orbit's least column
     matches = np.zeros((len(reps), m_words), dtype=np.float32)  # exact: counts stay below 2**24
     hits = np.empty((m_words, min(n, PAIRWISE_COLUMN_BLOCK)), dtype=np.float32)  # no bool copy
     rows_of = {}  # symbol s -> rows Q of its orbit's least symbol b with hits_s = hits_b[Q]
@@ -100,10 +100,10 @@ def pairwise_min_distance(words, coordinate_maps=()) -> int:
         block = np.zeros((len(rows), m_words), dtype=np.float32)
         for start in range(0, len(columns), PAIRWISE_COLUMN_BLOCK):  # hits on a block J of columns
             j = columns[start : start + PAIRWISE_COLUMN_BLOCK]
-            hits_j, cut = hits[:, : len(j)], j if folded else slice(start, start + len(j))
-            np.equal(w[:, cut], base, out=hits_j, casting="unsafe")  # a view unless folded
-            left = hits_j[rows]  # times the orbit sizes, in place, if columns were folded
-            block += (np.multiply(left, weight[j], out=left) if folded else left) @ hits_j.T
+            hits_j = hits[:, : len(j)]
+            np.equal(w[:, j], base, out=hits_j, casting="unsafe")
+            left = hits_j[rows]  # times the orbit sizes, in place
+            block += np.multiply(left, weight[j], out=left) @ hits_j.T
         for s, part in zip(orbit, block.reshape(len(orbit), len(reps), m_words)):
             matches += part if s == base else part[:, rows_of[s]]
     matches[np.arange(len(reps)), reps] = -1.0
@@ -120,61 +120,61 @@ def _least_in_orbit(size, perms) -> np.ndarray:
     return label
 
 
-def _primitive_root(p) -> int:  # the least primitive root mod p; 1 if there is none
-    return next((g for g in range(2, p) if len({pow(g, k, p) for k in range(1, p)}) == p - 1), 1)
+def _kept_maps(w, symmetries) -> list:
+    """(f^-1 for a symbol map f else None, sigma else None, P) of each named map that keeps w.
 
-
-def _kept_maps(w, p, coordinate_maps) -> list:
-    """(f^-1 for a symbol map else None, sigma for w -> w[sigma] else None, P), f(w_j) = w_P(j).
-
-    P is found by a key packing the digits on a seeded sample of coordinates; f is kept
-    only if P permutes 0..M-1 and f(w) == w[P], checked one block of rows at a time.
+    Kept only if sigma and P are permutations, a symbol map s -> a*s + b mod p permutes 0..p-1
+    and the words use no other symbol, and f(w) == w[P] one row block at a time.
     """
-    maps = []  # (f^-1 or None, sigma or None, f on a block of rows)
-    if p:  # a negative symbol would wrap
-        lam = _primitive_root(p)
-        maps = [([(s - 1) % p for s in range(p)], None, lambda x: add_mod(x.view(np.uint8), 1, p))]
-        maps.append(([s * pow(lam, -1, p) % p for s in range(p)], None, lambda x: _scaled(x, lam, p)))
-    for sigma in coordinate_maps:  # only a permutation of the coordinates keeps distances
-        if np.array_equal(np.sort(sigma), np.arange(w.shape[1])):
-            maps.append((None, sigma, lambda x, sigma=sigma: np.take(x, sigma, axis=1)))
-    radix = int(w.view(np.uint8).max(initial=1)) + 1  # a negative symbol reads as a large byte
-    width = max(k for k in range(1, 64) if radix**k <= 2**63)  # so the largest key fits
-    columns = np.sort(np.random.default_rng(0).permutation(w.shape[1])[:width])
-    key = lambda rows: rows[:, columns].view(np.uint8) @ np.int64(radix) ** np.arange(len(columns))
-    order = np.argsort(key(w), kind="stable")
-    sorted_keys, kept = key(w)[order], []
-    for table, sigma, f in maps:
-        perm = np.empty(len(w), dtype=np.int64)
-        for start in range(0, len(w), PAIRWISE_ROW_BLOCK):  # a shared key can only drop f
-            image = f(w[start : start + PAIRWISE_ROW_BLOCK]).view(np.int8)
-            slot = np.searchsorted(sorted_keys, key(image)).clip(max=len(w) - 1)
-            perm[start : start + len(image)] = order[slot]
-            if not np.array_equal(image, w[order[slot]]):
-                break
+    (m_words, n), kept, step = w.shape, [], PAIRWISE_ROW_BLOCK
+    top = int(w.view(np.uint8).max(initial=0))  # a negative symbol reads as a large byte
+    permutes = lambda x, size: np.array_equal(np.sort(x), np.arange(size))
+    for affine, sigma, perm in symmetries:
+        if sigma is None:
+            (a, b, p), f = affine, lambda x: _affine(x, a % p, b % p, p)
+            table = (a * np.arange(p) + b) % p
+            ok = top < p and permutes(table, p)
         else:
-            if np.array_equal(np.sort(perm), np.arange(len(w))):
-                kept.append((table, sigma, perm))
+            f, ok = lambda x: np.take(x, sigma, axis=1), permutes(sigma, n)
+        if ok and permutes(perm, m_words) and all(
+            np.array_equal(f(w[s : s + step]).view(np.int8), w[perm[s : s + step]])
+            for s in range(0, m_words, step)
+        ):
+            kept.append((None if sigma is not None else np.argsort(table).tolist(), sigma, perm))
     return kept
 
 
-def _scaled(rows, lam, p) -> np.ndarray:
-    """lam * rows mod p in uint8 by double-and-add, one bit of lam at a time."""
+def _affine(rows, a, b, p) -> np.ndarray:
+    """a*rows + b mod p in uint8 for a, b in 0..p-1: double-and-add, one bit of a at a time."""
     x = acc = rows.view(np.uint8)
-    for bit in bin(lam)[3:]:
+    for bit in bin(a)[3:]:
         acc = add_mod(acc, acc, p) if bit == "0" else add_mod(add_mod(acc, acc, p), x, p)
-    return acc
+    return add_mod(acc, b, p) if b else acc
 
 
-def _coordinate_maps(ds) -> list:
-    """[Frobenius, scaling] sigma: c_a[sigma] = c_(a^(1/p)), resp. lam*c_a (lam as in _kept_maps).
+def _symmetries(code, rows) -> list:
+    """((a, b, p), None, P) or (None, sigma, P) of each map the field names, f(w_j) = w_P(j).
 
-    sigma(j) is the position of d_j^p, resp. lam*d_j, in the set: n or a wrong slot if outside it.
+    In order: scaling, lam*c_a = c_(lam*a); on D(alpha != 0) the shift, c_a + 1 = c_(a + 1/alpha);
+    Frobenius, c_a[sigma] = c_(a^(1/p)), d_sigma(k) = d_k^p; and sigma_lam, c_a[sigma] = lam*c_a,
+    d_sigma(k) = lam*d_k, a permutation only where lam*D = D; lam = g^((q-1)/(p-1)) generates
+    GF(p)^*. P(j) is the row of the image's kernel coset, or M off the rows: _kept_maps drops it.
     """
-    field, logs = ds.field, ds.field.log[ds.indices]
-    lam = field.log[field.prime_subfield_indices()[_primitive_root(field.p)]]  # as a power of g
-    images = field.powers[np.stack([field.p * logs, logs + lam]) % (field.q - 1)]
-    return list(np.searchsorted(ds.indices, images))
+    field, ds, kernel = code.field, code.defining_set, code.kernel
+    p, order, lam = field.p, field.q - 1, (field.q - 1) // (field.p - 1)  # lam as a power of g
+    members = field.sum_indices(np.repeat(rows, len(kernel)), np.tile(kernel, len(rows)))
+    position = np.full(field.q, len(rows))  # the row of each element's kernel coset
+    position[members] = np.repeat(np.arange(len(rows)), len(kernel))
+    logs, d = field.log[rows], field.log[ds.indices]
+    scale = position[field.powers[(logs + lam) % order]]
+    maps = [((field.prime_subfield_indices().index(field.powers[lam]), 0, p), None, scale)]
+    if ds.alpha:  # Tr((a + 1/alpha)*d) = Tr(a*d) + 1 on D(alpha)
+        shift = field.sum_indices(rows, field.prime_subfield_indices()[pow(ds.alpha, -1, p)])
+        maps.append(((1, 1, p), None, position[shift]))
+    images = field.powers[np.stack([p * d, d + lam]) % order]  # d^p and lam*d
+    frobenius, sigma_lam = np.searchsorted(ds.indices, images)
+    roots = field.powers[logs * (field.q // p) % order]  # a^(1/p) = a^(p^(m-1))
+    return maps + [(None, frobenius, position[roots]), (None, sigma_lam, scale)]
 
 
 @dataclass
@@ -272,8 +272,8 @@ def _extract(code: TraceCode, construction: str, *, reference=None) -> CccCode:
     d_pairwise, route = None, "ambient-only"
     if reference is not None and ds.alpha and reference.transfers_to(ds, index):
         d_pairwise, route = reference.d_pairwise, "transferred"
-    elif len(rows) <= PAIRWISE_ORACLE_CAP:  # the words and sigma are made for the oracle alone
-        d_pairwise = pairwise_min_distance(code.words(rows), _coordinate_maps(ds))
+    elif len(rows) <= PAIRWISE_ORACLE_CAP:  # the words and maps are made for the oracle alone
+        d_pairwise = pairwise_min_distance(code.words(rows), _symmetries(code, rows))
         route = "pairwise"
         if reference is not None and ds.alpha and reference.defining_set is None:
             reference.defining_set, reference.d_pairwise = ds, d_pairwise

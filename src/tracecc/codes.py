@@ -165,12 +165,12 @@ def trace_count_table(ds: DefiningSet) -> np.ndarray:
     corr = np.fft.irfft(np.conj(np.fft.rfft(member)) * field.trace_spectra, len(member))[:, :order]
     zeros, ones = table = np.rint(corr)
     shifts = field.log[list(field.prime_subfield_indices())[1:]]  # log s for s = 1, ..., p-1
-    rolled = np.tile(ones, 2)[np.arange(order, 2 * order)[:, None] - shifts]  # N[g^(i-log s), 1]
-    if np.abs(corr - table).max() > ROUNDING_MARGIN or (zeros + rolled.sum(axis=1) != n).any():
+    rolled = np.lib.stride_tricks.sliding_window_view(np.tile(ones, 2), order)[order - shifts]
+    if np.abs(corr - table).max() > ROUNDING_MARGIN or (zeros + rolled.sum(axis=0) != n).any():
         raise IdentityViolation(f"the symbol-count correlations over {field!r} are not counts")
     counts = np.zeros((field.q, field.p), dtype=np.min_scalar_type(n))
     counts[0, 0] = n  # the word of zero
-    counts[field.powers, 0], counts[field.powers, 1:] = zeros, rolled
+    counts[field.powers, 0], counts[field.powers, 1:] = zeros, rolled.T
     return counts
 
 

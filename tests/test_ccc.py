@@ -38,8 +38,8 @@ from tracecc import (
 from tracecc.ccc import (
     CONSTRUCTIONS,
     PairwiseReference,
-    _coordinate_maps,
     _kept_maps,
+    _symmetries,
     build_construction,
     ccc_json,
 )
@@ -54,6 +54,17 @@ def naive_pairwise_min(words):
             d = sum(1 for x, y in zip(words[i], words[j]) if x != y)
             best = d if best is None else min(best, d)
     return best
+
+
+def named_maps(words, affine=(), sigmas=()):
+    """Symbol maps (a, b, p) and coordinate maps sigma with P found through a tuple dictionary;
+    an image that is no word gets row 0, so only the oracle's checks can drop its map."""
+    rows = [tuple(w) for w in np.asarray(words).tolist()]
+    index = {w: i for i, w in enumerate(rows)}
+    perm = lambda images: np.array([index.get(tuple(x), 0) for x in images])
+    maps = [((a, b, p), None, perm([[(a * s + b) % p for s in w] for w in rows]))
+            for a, b, p in affine]  # fmt: skip
+    return maps + [(None, sigma, perm([[w[k] for k in sigma] for w in rows])) for sigma in sigmas]
 
 
 def first_subcode(p, m, alpha):
@@ -171,7 +182,10 @@ def test_pairwise_detects_duplicate_empty_words():
 
 def test_pairwise_oracle_drops_a_map_with_one_image_outside_the_words():
     # scaling by 2 swaps 11 and 22; the shift sends 11 to 22 but 22 to 00
-    assert pairwise_min_distance([[1, 1], [2, 2]]) == 2
+    words = [[1, 1], [2, 2]]
+    maps = named_maps(words, [(1, 1, 3), (2, 0, 3)])
+    assert [table for table, _, _ in _kept_maps(np.array(words, np.int8), maps)] == [[0, 2, 1]]
+    assert pairwise_min_distance(words, maps) == 2
 
 
 def test_pairwise_oracle_with_the_shift_alone():
@@ -184,12 +198,16 @@ def test_pairwise_oracle_with_the_shift_alone():
     assert len(rows) == len(words)
     assert all(tuple((s + 1) % 5 for s in w) in rows for w in words)  # closed under the shift
     assert any(tuple(2 * s % 5 for s in w) not in rows for w in words)  # but not under scaling
-    assert pairwise_min_distance(words) == naive_pairwise_min(words)
+    maps = named_maps(words, [(1, 1, 5), (2, 0, 5)])
+    kept = _kept_maps(np.array(words, np.int8), maps)
+    assert [table for table, _, _ in kept] == [[4, 0, 1, 2, 3]]  # the shift's inverse alone
+    assert pairwise_min_distance(words, maps) == naive_pairwise_min(words)
 
 
 def test_pairwise_oracle_drops_maps_that_do_not_keep_the_words():
     p, m, sub = 5, 3, first_subcode(5, 3, 1)
-    sigma = _coordinate_maps(sub.source.defining_set)[0]
+    named = _symmetries(sub.source, sub.rows)  # scaling, the shift, Frobenius and sigma_lam
+    sigma = named[-2][1]
     words = sub.words.copy()
     rows = words.tolist()
     index = {tuple(w): i for i, w in enumerate(rows)}
@@ -225,7 +243,10 @@ def test_pairwise_oracle_drops_maps_that_do_not_keep_the_words():
     for r in reps:
         others = np.delete(np.count_nonzero(words != words[r], axis=1), r)
         assert others.min() == sub.d
-    assert pairwise_min_distance(words, [sigma]) == naive_pairwise_min(words.tolist()) == sub.d - 1
+    # the maps named for the old words, and the same maps with P found for the new ones
+    for maps in (named, named_maps(words, [(2, 0, p), (1, 1, p)], [sigma])):
+        assert _kept_maps(words, maps) == []
+        assert pairwise_min_distance(words, maps) == naive_pairwise_min(words.tolist()) == sub.d - 1
 
 
 def test_pairwise_oracle_uses_a_coordinate_map_only_if_it_is_a_permutation():
@@ -235,7 +256,19 @@ def test_pairwise_oracle_uses_a_coordinate_map_only_if_it_is_a_permutation():
     sigma = [3, 3, 2, 0]
     rows = [tuple(w) for w in words]
     assert [rows.index(tuple(w[j] for j in sigma)) for w in words] == [1, 0, 4, 2, 2]
-    assert pairwise_min_distance(words, [sigma]) == naive_pairwise_min(words) == 1
+    maps, w = named_maps(words, sigmas=[sigma]), np.array(words, np.int8)
+    assert maps[0][2].tolist() == [1, 0, 4, 2, 2] and _kept_maps(w, maps) == []
+    # nor a P past the last word, a symbol map that is no bijection, or one of too few symbols
+    # (s -> s mod 2 fixes every word, but the words use 2)
+    identity = np.arange(len(words))
+    assert _kept_maps(w, [(None, np.arange(4), identity + 1), ((0, 1, 3), None, identity)]) == []
+    assert _kept_maps(w, [((1, 0, 2), None, identity)]) == []
+    assert pairwise_min_distance(words, maps) == naive_pairwise_min(words) == 1
+    # s -> 3s mod 6 fixes every word over {0, 3} but is no bijection of the six symbols, and
+    # symbol 3 would take its hits from symbol 1's through the inverse of no permutation
+    halves, merge = 3 * np.array([[0, 0, 1], [0, 1, 1], [1, 1, 1]], np.int8), (3, 0, 6)
+    assert _kept_maps(halves, [(merge, None, np.arange(3))]) == []
+    assert pairwise_min_distance(halves, [(merge, None, np.arange(3))]) == 1
 
 
 @pytest.mark.parametrize("p,m", SWEEP_POINTS)
@@ -246,7 +279,7 @@ def test_frobenius_permutation_matches_repeated_products(sweep_fields, p, m):
         sets.append(build_defining_set_E(field))
     rng = np.random.default_rng(p * 10 + m)
     for ds in sets:
-        sigma = _coordinate_maps(ds)[0]
+        sigma = _symmetries(build_trace_code(ds), np.arange(1, 2))[-2][1]  # the Frobenius map
         # every position up to 7^4, a seeded sample at 5^5 and 7^5: the scalar route is slow
         positions = np.arange(len(ds)) if field.q <= 7**4 else rng.choice(len(ds), 200)
         for j in positions:
@@ -256,9 +289,9 @@ def test_frobenius_permutation_matches_repeated_products(sweep_fields, p, m):
 
 def test_pairwise_oracle_drops_a_coordinate_permutation_that_moves_a_word_out():
     sub = first_subcode(3, 3, 0)
-    sigma = _coordinate_maps(sub.source.defining_set)[0]
-    for maps, kept in [([sigma], 1), ([sigma[::-1]], 0)]:
-        assert sum(table is None for table, _, _ in _kept_maps(sub.words, 3, maps)) == kept
+    scale, (_, sigma, perm), _ = _symmetries(sub.source, sub.rows)  # sigma_lam left out
+    for maps, kept in [([scale, (None, sigma, perm)], 1), ([scale, (None, sigma[::-1], perm)], 0)]:
+        assert sum(table is None for table, _, _ in _kept_maps(sub.words, maps)) == kept
         assert pairwise_min_distance(sub.words, maps) == naive_pairwise_min(sub.words.tolist())
 
 
@@ -274,26 +307,27 @@ def test_pairwise_oracle_kernel_per_symbol_orbit(alpha, shift, symbol_maps):
     p = 5
     if alpha is None:
         words = np.unique(np.random.default_rng(3).integers(0, p, (40, 12)), axis=0)
-        maps = []
+        maps = named_maps(words, [(1, 1, p), (2, 0, p)])  # checked, and dropped
     else:
         sub = first_subcode(p, 3, alpha)
-        words, maps = sub.words, [_coordinate_maps(sub.source.defining_set)[0]]
+        words, maps = sub.words, _symmetries(sub.source, sub.rows)
     assert words.max() + 1 == p
-    kept = _kept_maps(words.astype(np.int8), p, maps)
+    kept = _kept_maps(words.astype(np.int8), maps)
     tables = [table for table, _, _ in kept if table is not None]
     assert (len(tables), [(s - 1) % p for s in range(p)] in tables) == (symbol_maps, shift)
     assert pairwise_min_distance(words, maps) == naive_pairwise_min(words.tolist())
 
 
 def test_pairwise_oracle_traced_peak_stays_below_four_bytes_per_symbol():
-    # the GF(7^5) alpha = 0 subcode (M = n = 2400) with its Frobenius map, as the sweep runs it;
-    # whole map images and a float32 hit matrix over all n coordinates read 8.3 bytes a symbol
+    # the GF(7^5) alpha = 0 subcode (M = n = 2400) with its scaling and Frobenius maps, so no
+    # column folds; whole map images and a float32 hit matrix over all n coordinates read
+    # 8.3 bytes a symbol
     sub = first_subcode(7, 5, 0)
-    words, sigma = sub.words, _coordinate_maps(sub.source.defining_set)[0]
+    words, maps = sub.words, _symmetries(sub.source, sub.rows)[:-1]
     tracemalloc.start()
     try:
         before = tracemalloc.get_traced_memory()[0]
-        pairwise_min_distance(words, [sigma])
+        pairwise_min_distance(words, maps)
         peak = tracemalloc.get_traced_memory()[1] - before
     finally:
         tracemalloc.stop()
@@ -303,7 +337,7 @@ def test_pairwise_oracle_traced_peak_stays_below_four_bytes_per_symbol():
 def test_pairwise_oracle_traced_peak_with_both_sweep_maps():
     # the same subcode with the scaling map as well, which folds the 2400 columns into 400
     sub = first_subcode(7, 5, 0)
-    words, maps = sub.words, _coordinate_maps(sub.source.defining_set)
+    words, maps = sub.words, _symmetries(sub.source, sub.rows)
     tracemalloc.start()
     try:
         before = tracemalloc.get_traced_memory()[0]
@@ -345,7 +379,7 @@ def test_pairwise_oracle_with_both_sweep_maps_matches_naive(monkeypatch, p, m, c
     alpha = 0 if construction == "first" else None
     sub = build_construction(make_field(p, m), construction, alpha)[1]
     calls = orbit_counts(monkeypatch)
-    distance = pairwise_min_distance(sub.words, _coordinate_maps(sub.source.defining_set))
+    distance = pairwise_min_distance(sub.words, _symmetries(sub.source, sub.rows))
     assert distance == naive_pairwise_min(sub.words.tolist())
     assert calls[-1] == (sub.n, sub.n // (p - 1))
 
@@ -353,14 +387,15 @@ def test_pairwise_oracle_with_both_sweep_maps_matches_naive(monkeypatch, p, m, c
 def test_pairwise_oracle_folds_nothing_with_a_broken_scaling_map(monkeypatch):
     # two entries of sigma_lam swapped: still a permutation, but its images are no words
     p, sub = 5, first_subcode(5, 3, 0)
-    frobenius, scaling = _coordinate_maps(sub.source.defining_set)
+    scale, (_, frobenius, perm_f), (_, scaling, perm) = _symmetries(sub.source, sub.rows)
     broken = scaling.copy()
     broken[[0, 1]] = scaling[[1, 0]]
     assert np.array_equal(np.sort(broken), np.arange(sub.n))
-    kept = _kept_maps(sub.words, p, [frobenius, broken])
+    maps = [scale, (None, frobenius, perm_f), (None, broken, perm)]
+    kept = _kept_maps(sub.words, maps)
     assert [sigma is frobenius for _, sigma, _ in kept if sigma is not None] == [True]
     calls = orbit_counts(monkeypatch)
-    distance = pairwise_min_distance(sub.words, [frobenius, broken])
+    distance = pairwise_min_distance(sub.words, maps)
     assert distance == naive_pairwise_min(sub.words.tolist()) == sub.d_ambient
     assert calls[-1] == (sub.n, sub.n)
 
@@ -370,9 +405,6 @@ def test_sweep_folds_columns_on_D0_and_E_and_never_on_D_alpha(sweep_fields, monk
     # lam*D(alpha) = D(lam*alpha): for alpha != 0 sigma_lam is no permutation, so it is
     # dropped before any word is touched; D(0) and E fold into orbits of p - 1 columns
     field = sweep_fields[p, m]
-    for alpha in range(1, p):
-        ds = build_defining_set_D(field, alpha)
-        assert not np.array_equal(np.sort(_coordinate_maps(ds)[1]), np.arange(len(ds)))
     calls = orbit_counts(monkeypatch)
     for construction in CONSTRUCTIONS:
         if CONSTRUCTIONS[construction].defining_set == "E" and (m % 2 or p**m == 25):
@@ -380,34 +412,36 @@ def test_sweep_folds_columns_on_D0_and_E_and_never_on_D_alpha(sweep_fields, monk
         for alpha in range(p) if construction == "first" else [None]:
             calls.clear()
             sub = build_construction(field, construction, alpha)[1]
+            sigma_lam = _symmetries(sub.source, sub.rows)[-1][1]
+            assert np.array_equal(np.sort(sigma_lam), np.arange(sub.n)) == (not alpha)
             if sub.distance_route == "pairwise":
                 assert calls[-1] == (sub.n, sub.n if alpha else sub.n // (p - 1))
             else:  # only 7^5 alpha != 0 is over the cap
                 assert (p, m) == (7, 5) and alpha and calls == []
 
 
-def test_pairwise_oracle_exact_on_words_the_key_cannot_tell_apart():
-    # {s * e_i}: n = 40 exceeds the 27 base-5 digits of a 63-bit key, so the words whose one
-    # nonzero symbol lies off the sampled coordinates all share the key 0
+def test_pairwise_oracle_exact_on_words_of_one_nonzero_symbol():
+    # {s * e_i}, n = 40: any two words differ in at most two coordinates, and scaling and the
+    # cycle of the coordinates both keep the set; both are kept, and what is kept was checked
     p, n = 5, 40
     words = np.concatenate([s * np.eye(n, dtype=np.int8) for s in range(1, p)])
     cycle = np.roll(np.arange(n), 1)
-    kept = _kept_maps(words, p, [cycle])
-    assert len(kept) < 2  # scaling and the cycle both keep the set; a shared key drops one
-    for table, sigma, perm in kept:  # and what is kept was checked
+    maps = named_maps(words, [(2, 0, p)], [cycle])
+    kept = _kept_maps(words, maps)
+    assert len(kept) == 2
+    for table, sigma, perm in kept:
         if table is None:
             assert sigma is cycle
             assert np.array_equal(np.take(words, cycle, axis=1), words[perm])
         else:
             assert np.array_equal(np.take(table, words[perm]), words)
-    assert pairwise_min_distance(words, [cycle]) == naive_pairwise_min(words.tolist()) == 1
+    assert pairwise_min_distance(words, maps) == naive_pairwise_min(words.tolist()) == 1
 
 
-def test_pairwise_oracle_drops_a_map_that_fails_only_off_the_key_in_the_last_row_block():
+def test_pairwise_oracle_drops_a_map_that_fails_only_in_the_last_row_block():
     # for every transposition tau = (a b): the first PAIRWISE_ROW_BLOCK words have w[a] = w[b],
-    # so tau fixes them; the last three have w[b] = w[a] + 1, so their images are no words.
-    # n = 40 exceeds the 27 base-5 digits of a 63-bit key, so some tau moves only
-    # coordinates off the key, and then only the exact check on the last block can fail
+    # so tau fixes them; the last three have w[b] = w[a] + 1, so their images are no words,
+    # and only the check on the last block can drop tau with P the identity
     p, n, block = 5, 40, ccc.PAIRWISE_ROW_BLOCK
     rng = np.random.default_rng(11)
     first, last = rng.integers(0, p, (block, n)), rng.integers(0, p, (3, n))
@@ -419,20 +453,28 @@ def test_pairwise_oracle_drops_a_map_that_fails_only_off_the_key_in_the_last_row
             fixed[:, b] = fixed[:, a]
             moved = last.copy()
             moved[:, b] = (moved[:, a] + 1) % p
-            assert len(_kept_maps(fixed.astype(np.int8), 0, [tau])) == 1
-            assert _kept_maps(np.concatenate([fixed, moved]).astype(np.int8), 0, [tau]) == []
+            assert len(_kept_maps(fixed.astype(np.int8), [(None, tau, np.arange(block))])) == 1
+            both = np.concatenate([fixed, moved]).astype(np.int8)
+            assert _kept_maps(both, [(None, tau, np.arange(block + 3))]) == []
 
 
 def test_pairwise_detects_a_duplicate_of_a_word_that_no_orbit_starts_at():
-    # GF(5^3) alpha = 0 is closed under scaling; a copy of a word that is not the least
-    # index of its scaling orbit is found all the same
+    # GF(5^3) alpha = 0 is closed under scaling; copies of the scaling orbit of a word that is
+    # not the least index of its orbit keep the set closed, and are found all the same
     p, words = 5, first_subcode(5, 3, 0).words
     rows = words.tolist()
     index = {tuple(w): i for i, w in enumerate(rows)}
     orbit_min = [min(index[tuple(s * x % p for x in w)] for s in range(1, p)) for w in rows]
     late = next(i for i, least in enumerate(orbit_min) if least < i)
+    scaled = [index[tuple(2 * x % p for x in w)] for w in rows]  # 2 is a primitive root mod 5
+    orbit = [late]
+    while scaled[orbit[-1]] != late:
+        orbit.append(scaled[orbit[-1]])
+    perm = scaled + [len(rows) + (k + 1) % len(orbit) for k in range(len(orbit))]
+    copies, maps = np.concatenate([words, words[orbit]]), [((2, 0, p), None, np.array(perm))]
+    assert len(_kept_maps(copies, maps)) == 1
     with pytest.raises(DuplicateWords):
-        pairwise_min_distance(np.concatenate([words, words[[late]]]))
+        pairwise_min_distance(copies, maps)
 
 
 @pytest.mark.parametrize("n", [1, ccc.PAIRWISE_COLUMN_BLOCK, ccc.PAIRWISE_COLUMN_BLOCK + 1])
@@ -445,7 +487,9 @@ def test_pairwise_oracle_across_column_blocks(n):
     bases[1, 0] = (bases[0, 0] + 1) % p
     orbits = [(s * b + c) % p for b in bases for s in range(1, p) for c in range(p)]
     words = np.unique(orbits, axis=0)
-    assert pairwise_min_distance(words) == naive_pairwise_min(words.tolist()) == 1
+    maps = named_maps(words, [(1, 1, p), (2, 0, p)])
+    assert len(_kept_maps(words.astype(np.int8), maps)) == 2
+    assert pairwise_min_distance(words, maps) == naive_pairwise_min(words.tolist()) == 1
 
 
 # -- first construction -----------------------------------------------------------------
@@ -656,16 +700,18 @@ def test_pairwise_orbit_oracle_matches_naive(p, m, construction, alpha):
     assert {tuple(lam * s % p for s in w) for w in words} == closed
     if alpha:
         assert {tuple((s + 1) % p for s in w) for w in words} == closed
-    assert sub.words.max() + 1 == p  # so the oracle's maps are taken mod p
+    assert sub.words.max() + 1 == p  # the words use no symbol past p - 1
     # and under the Frobenius map: sigma(j) is the position of d_j^p, by scalar arithmetic
     field, indices = sub.source.field, sub.source.defining_set.indices
-    sigma = _coordinate_maps(sub.source.defining_set)[0]
+    maps = _symmetries(sub.source, sub.rows)
+    sigma = maps[-2][1]  # the Frobenius map
     assert np.array_equal(np.sort(sigma), np.arange(sub.n))
     assert indices[sigma].tolist() == [(field.element_at(int(d)) ** p).index for d in indices]
     assert {tuple(w) for w in np.take(sub.words, sigma, axis=1).tolist()} == closed
     distance = naive_pairwise_min(words)
-    assert pairwise_min_distance(sub.words) == pairwise_min_distance(sub.words, [sigma]) == distance
-    assert pairwise_min_distance(sub.words, _coordinate_maps(sub.source.defining_set)) == distance
+    assert pairwise_min_distance(sub.words) == distance
+    assert pairwise_min_distance(sub.words, maps[:-1]) == distance
+    assert pairwise_min_distance(sub.words, maps) == distance
 
 
 # -- distance oracle agrees with the ambient shortcut -----------------------------------------

@@ -405,11 +405,11 @@ def test_verify_sweep_failing_instance_is_reported(tmp_path, capsys, monkeypatch
     pairwise = ccc.pairwise_min_distance
     calls = []
 
-    def fails_once(words, coordinate_maps=()):
+    def fails_once(words, symmetries=()):
         calls.append(len(words))
         if len(calls) == 1:
             raise DuplicateWords("two identical words found (distance 0)")
-        return pairwise(words, coordinate_maps)
+        return pairwise(words, symmetries)
 
     monkeypatch.setattr(ccc, "pairwise_min_distance", fails_once)
     code, doc = run_json(

@@ -2,7 +2,11 @@
 refused before any instance runs; the gauss, fiber and ambient verdicts can
 each read false, and gauss_check's work."""
 
+import json
+import subprocess
+import sys
 from collections import Counter
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -178,6 +182,53 @@ def test_the_default_sweep_runs_the_oracle_33_times_every_time(monkeypatch):
     assert unconfirmed == {(7, 5, alpha) for alpha in range(1, 7)}
 
 
+def test_every_named_map_is_kept_on_the_default_sweep(monkeypatch):
+    # a wrong P costs time, never a distance, so only this count shows one: scaling, the shift
+    # and Frobenius keep every D(alpha != 0) subcode the oracle runs on; scaling, Frobenius and
+    # sigma_lam every D(0) and E subcode
+    sets, kept, named, check = [], [], ccc._symmetries, ccc._kept_maps
+
+    def naming(code, rows):
+        sets.append(code.defining_set)
+        return named(code, rows)
+
+    def checking(words, symmetries):
+        out = check(words, symmetries)
+        names = ["scale", "shift"][: len(symmetries) - 2] + ["frobenius", "sigma_lam"]
+        kept.append(tuple(name for name, (_, sigma, perm) in zip(names, symmetries) if any(
+            sigma is other and perm is same for _, other, same in out)))  # fmt: skip
+        return out
+
+    monkeypatch.setattr(ccc, "_symmetries", naming)
+    monkeypatch.setattr(ccc, "_kept_maps", checking)
+    report = run_sweep(SweepSpec())
+    kinds = ["E" if ds.alpha is None else "D(0)" if ds.alpha == 0 else "D(alpha)" for ds in sets]
+    assert Counter(zip(kinds, kept)) == {
+        ("D(alpha)", ("scale", "shift", "frobenius")): 11,
+        ("D(0)", ("scale", "frobenius", "sigma_lam")): 12,
+        ("E", ("scale", "frobenius", "sigma_lam")): 10,
+    }
+    golden = json.loads((Path(__file__).parent / "golden" / "verify-sweep-default.json").read_text())
+    assert [i.detail.get("d_pairwise") for i in report.instances] == [
+        i.get("detail", {}).get("d_pairwise") for i in golden["instances"]
+    ]
+
+
+def test_no_sweep_imports_numpy_random():
+    # numpy.random is 6 MB of the sweep's peak RSS, and nothing a sweep runs needs it
+    script = (
+        "import sys\nsys.path[:0] = [sys.argv[1]]\n"
+        "from tracecc import SweepSpec, run_sweep\n"
+        "run_sweep(SweepSpec(p_list=(3,), m_min=2, m_max=3))\n"
+        "assert 'numpy.random' not in sys.modules, 'numpy.random was imported'\n"
+    )
+    src = Path(__file__).resolve().parent.parent / "src"
+    done = subprocess.run(
+        [sys.executable, "-c", script, str(src)], capture_output=True, text=True, timeout=120
+    )
+    assert done.returncode == 0, done.stderr
+
+
 def test_a_two_prime_sweep_never_carries_a_reference_across_fields(monkeypatch):
     seen, verify = [], sweep.verify_first_instance
 
@@ -275,6 +326,19 @@ def test_fiber_check_drops_a_residue_past_the_last_bin():
     linear = [r for r in report["rows"] if r["kind"] == "linear-trace"]
     short = [r for r in linear if r["enumerated"] != r["predicted"]]
     assert short == [{"kind": "linear-trace", "alpha": alpha, "enumerated": 8, "predicted": 9}]
+
+
+def test_a_predicted_length_off_by_one_fails_ambient_length(monkeypatch):
+    entry = ccc.CONSTRUCTIONS["first"]
+
+    def one_longer(p, m, alpha):
+        predicted = entry.predict(p, m, alpha)
+        return predicted._replace(n=predicted.n + 1)
+
+    monkeypatch.setitem(ccc.CONSTRUCTIONS, "first", entry._replace(predict=one_longer))
+    record = sweep.verify_first_instance(make_field(3, 3), 1)
+    assert record.failed == ["ambient_length", "subcode_parameters"]
+    assert record.status == "fail"
 
 
 def test_corrupted_census_fails_ambient_dimension(monkeypatch):

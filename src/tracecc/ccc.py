@@ -1,10 +1,10 @@
 """Constant composition subcodes of the ambient trace codes.
 
-A subcode is the ambient code's distinct words over the index set, which must
-be a union of cosets of the kernel {a : c_a = 0}; each word is kept as the least
-element of its coset, in sorted order, and its composition is read from the
-ambient code's symbol-count table over the index set. Only the oracle's words
-are built. Extraction keeps two independent routes to the minimum distance,
+A subcode is the ambient code's distinct words over the index set, which must be a
+union of cosets of the kernel {a : c_a = 0}, {0} or GF(p); each word is kept as the least
+element of its coset (for GF(p), the one with constant term 0), in sorted order, and its
+composition is read from the ambient code's symbol-count table over the index set. Only
+the oracle's words are built. Extraction keeps two independent routes to the minimum distance,
 stored so reports can compare them: the pairwise census (the oracle) and the
 ambient minimum weight (the shortcut justified by the difference argument).
 Skipped above PAIRWISE_ORACLE_CAP words, the oracle compares one word per orbit of
@@ -56,11 +56,10 @@ from .codes import (
     second_family_terms,
 )
 from .errors import CompositionLengthMismatch, DuplicateWords, UnsupportedDegree
-from .gfpm import add_mod
+from .gfpm import ROW_BLOCK, add_mod
 
 #: largest word count for which the pairwise oracle runs (its match matrix is one row per orbit)
 PAIRWISE_ORACLE_CAP = 5000
-PAIRWISE_ROW_BLOCK = 1024  # rows of a map's image that the oracle builds and checks at once
 PAIRWISE_COLUMN_BLOCK = 256  # coordinates whose hit products the oracle sums at once
 
 
@@ -124,9 +123,9 @@ def _kept_maps(w, symmetries) -> list:
     """(f^-1 for a symbol map f else None, sigma else None, P) of each named map that keeps w.
 
     Kept only if sigma and P are permutations, a symbol map s -> a*s + b mod p permutes 0..p-1
-    and the words use no other symbol, and f(w) == w[P] one row block at a time.
+    and the words use no other symbol, and f(w) == w[P] one ROW_BLOCK of rows at a time.
     """
-    (m_words, n), kept, step = w.shape, [], PAIRWISE_ROW_BLOCK
+    (m_words, n), kept, step = w.shape, [], ROW_BLOCK
     top = int(w.view(np.uint8).max(initial=0))  # a negative symbol reads as a large byte
     permutes = lambda x, size: np.array_equal(np.sort(x), np.arange(size))
     for affine, sigma, perm in symmetries:
@@ -160,17 +159,17 @@ def _symmetries(code, rows) -> list:
     d_sigma(k) = lam*d_k, a permutation only where lam*D = D; lam = g^((q-1)/(p-1)) generates
     GF(p)^*. P(j) is the row of the image's kernel coset, or M off the rows: _kept_maps drops it.
     """
-    field, ds, kernel = code.field, code.defining_set, code.kernel
+    field, ds = code.field, code.defining_set
     p, order, lam = field.p, field.q - 1, (field.q - 1) // (field.p - 1)  # lam as a power of g
-    members = field.sum_indices(np.repeat(rows, len(kernel)), np.tile(kernel, len(rows)))
     position = np.full(field.q, len(rows))  # the row of each element's kernel coset
-    position[members] = np.repeat(np.arange(len(rows)), len(kernel))
+    position[rows] = np.arange(len(rows))
+    if len(code.kernel) > 1:  # GF(p): gathered at each coset's least element
+        position = position[field.add_constant(np.arange(field.q))]
     logs, d = field.log[rows], field.log[ds.indices]
     scale = position[field.powers[(logs + lam) % order]]
     maps = [((field.prime_subfield_indices().index(field.powers[lam]), 0, p), None, scale)]
     if ds.alpha:  # Tr((a + 1/alpha)*d) = Tr(a*d) + 1 on D(alpha)
-        shift = field.sum_indices(rows, field.prime_subfield_indices()[pow(ds.alpha, -1, p)])
-        maps.append(((1, 1, p), None, position[shift]))
+        maps.append(((1, 1, p), None, position[field.add_constant(rows, pow(ds.alpha, -1, p))]))
     images = field.powers[np.stack([p * d, d + lam]) % order]  # d^p and lam*d
     frobenius, sigma_lam = np.searchsorted(ds.indices, images)
     roots = field.powers[logs * (field.q // p) % order]  # a^(1/p) = a^(p^(m-1))

@@ -5,14 +5,14 @@ c_a = (Tr(a*d1), ..., Tr(a*dn)) with the d's running over a defining set in
 canonical field order. GF(q)^* is cyclic, so the counts of 0 and 1 in all q words
 are two FFT correlations of length q - 1, rounded only inside a stated margin; Tr is
 GF(p)-linear, so s != 0 occurs in c_a as often as 1 in c_(a/s). Each weight (n minus
-the count of 0), the kernel {a : c_a = 0}, whose cosets are the distinct words, and
-every subcode's composition are read from that table; words are built only on request,
+the count of 0), the kernel {a : c_a = 0}, checked to be {0} or GF(p), whose cosets are
+the distinct words (a coset a + GF(p) moves only the constant term: Field.add_constant),
+and every subcode's composition are read from that table; words are built only on request,
 by Field.trace_of_multiples. The census shares no logic with the closed-form predictors.
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from functools import cached_property
 
@@ -127,12 +127,12 @@ class TraceCode:
 
     def coset_rows(self, index) -> np.ndarray:
         """The least element of each kernel coset in the sorted `index`, a union of cosets."""
-        index, k = np.asarray(index, dtype=np.int64), len(self.kernel)
-        if k == 1:  # each coset {a} is its own row
+        index = np.asarray(index, dtype=np.int64)
+        if len(self.kernel) == 1:  # each coset {a} is its own row
             return index
-        cosets = self.field.sum_indices(index.repeat(k), np.tile(self.kernel, len(index)))
-        rows = index[cosets.reshape(-1, k).min(axis=1) == index]
-        if not np.isin(cosets, index).all() or len(rows) * k != len(index):
+        least = self.field.add_constant(index)  # of each a + GF(p)
+        rows = index[least == index]
+        if not np.isin(least, rows).all() or len(rows) * len(self.kernel) != len(index):
             raise IdentityViolation("the index set is not a union of cosets of the kernel")
         return rows
 
@@ -177,15 +177,14 @@ def trace_count_table(ds: DefiningSet) -> np.ndarray:
 def build_trace_code(ds: DefiningSet) -> TraceCode:
     """Count the symbols of every codeword of the trace construction, building none.
 
-    The kernel {a : N[a, 0] = n} of a -> c_a must have a power of p elements.
+    The kernel {a : N[a, 0] = n} of a -> c_a must be {0} or GF(p): dimension m or m - 1.
     """
-    p, m = ds.field.p, ds.field.m
+    field = ds.field
     counts = trace_count_table(ds)
     kernel = np.flatnonzero(counts[:, 0] == len(ds))
-    dimension = m - round(math.log(len(kernel), p))
-    if p ** (m - dimension) != len(kernel):
-        raise IdentityViolation(f"a kernel of {len(kernel)} elements is not a power of {p}")
-    return TraceCode(ds, counts, kernel, dimension)
+    if kernel.tolist() not in ([0], list(field.prime_subfield_indices())):
+        raise IdentityViolation(f"a {len(kernel)}-element kernel is not {{0}} or GF({field.p})")
+    return TraceCode(ds, counts, kernel, field.m - (len(kernel) > 1))
 
 
 def weight_distribution(code: TraceCode) -> WeightDistribution:

@@ -30,7 +30,7 @@ from .errors import (
     ReducibleModulus,
 )
 
-TRACE_BLOCK_ROWS = 1024  # rows of the table that Field.trace_of_multiples builds at once
+ROW_BLOCK = 1024  # rows of an 8-bit (rows x width) temporary: trace tables, oracle map checks
 
 
 def _is_prime(n: int) -> bool:
@@ -175,8 +175,6 @@ class Field:
 
     def _mul_coeffs(self, a, b):
         p, m = self.p, self.m
-        if m == 1:
-            return ((a[0] * b[0]) % p,)
         conv = [0] * (2 * m - 1)
         for i, ai in enumerate(a):
             if ai:
@@ -289,24 +287,24 @@ class Field:
         spectra.setflags(write=False)
         return spectra
 
-    def sum_indices(self, a, b) -> np.ndarray:
-        """(n,) int64 indices of a[i] + b[i], for two length-n arrays of element indices."""
-        digits = (self.digits[a].astype(np.int16) + self.digits[b]) % self.p
-        return digits @ np.array(self._index_weights, dtype=np.int64)
+    def add_constant(self, a, c=None):
+        """Indices of a + c, c in GF(p), by the leading digit; without c, the least of a + GF(p)."""
+        w0 = self._index_weights[0]
+        return a % w0 if c is None else (a // w0 + c) % self.p * w0 + a % w0
 
     def trace_of_multiples(self, a, x) -> np.ndarray:
         """(len(a), len(x)) int8 table of Tr(a_i * x_j) for two arrays of element indices.
 
         Tr(a*x) is GF(p)-linear in each factor: the table is digits[a] @ gen mod p with
         gen = G @ digits[x].T and G the trace form, summed one digit at a time in 8 bits,
-        TRACE_BLOCK_ROWS rows at a time, so a temporary holds one byte a cell.
+        ROW_BLOCK rows at a time, so a temporary holds one byte a cell.
         """
         p = self.p
         gen = self.trace_form @ self.digits[x].T.astype(np.int64)
         out = np.zeros((len(a), len(x)), dtype=np.uint8)
-        for start in range(0, len(out), TRACE_BLOCK_ROWS):
-            block = out[start : start + TRACE_BLOCK_ROWS]
-            for g, digit in zip(gen, self.digits[a[start : start + TRACE_BLOCK_ROWS]].T):
+        for start in range(0, len(out), ROW_BLOCK):
+            block = out[start : start + ROW_BLOCK]
+            for g, digit in zip(gen, self.digits[a[start : start + ROW_BLOCK]].T):
                 add_mod(block, (np.arange(p)[:, None] * g % p).astype(np.uint8)[digit], p, block)
         return out.view(np.int8)
 

@@ -43,6 +43,7 @@ from tracecc.ccc import (
     build_construction,
     ccc_json,
 )
+from tracecc.gfpm import ROW_BLOCK
 
 from conftest import SWEEP_POINTS, enumerate_field
 
@@ -144,7 +145,9 @@ def test_index_set_must_be_a_union_of_kernel_cosets(monkeypatch):
     # the D(0) kernel is the prime field {0, 9, 18}: x^2 + {0, 1, 2} is one coset, {1} is not
     code = build_trace_code(build_defining_set_D(make_field(3, 3), 0))
     assert code.coset_rows([1, 10, 19]).tolist() == [1]
-    one = CONSTRUCTIONS["first"]._replace(index_mask=lambda field: np.arange(field.q) == 9)
+    with pytest.raises(IdentityViolation, match="union of cosets"):  # three elements, two cosets
+        code.coset_rows([1, 11, 20])
+    one =CONSTRUCTIONS["first"]._replace(index_mask=lambda field: np.arange(field.q) == 9)
     monkeypatch.setitem(CONSTRUCTIONS, "first", one)
     with pytest.raises(IdentityViolation, match="union of cosets"):
         ccc._extract(code, "first")
@@ -439,10 +442,10 @@ def test_pairwise_oracle_exact_on_words_of_one_nonzero_symbol():
 
 
 def test_pairwise_oracle_drops_a_map_that_fails_only_in_the_last_row_block():
-    # for every transposition tau = (a b): the first PAIRWISE_ROW_BLOCK words have w[a] = w[b],
+    # for every transposition tau = (a b): the first ROW_BLOCK words have w[a] = w[b],
     # so tau fixes them; the last three have w[b] = w[a] + 1, so their images are no words,
     # and only the check on the last block can drop tau with P the identity
-    p, n, block = 5, 40, ccc.PAIRWISE_ROW_BLOCK
+    p, n, block = 5, 40, ROW_BLOCK
     rng = np.random.default_rng(11)
     first, last = rng.integers(0, p, (block, n)), rng.integers(0, p, (3, n))
     for a in range(n):

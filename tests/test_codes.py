@@ -157,7 +157,22 @@ def test_dimension_is_checked(f27, monkeypatch):
         return counts
 
     monkeypatch.setattr(codes, "trace_count_table", widened)
-    with pytest.raises(IdentityViolation, match="not a power of 3"):
+    with pytest.raises(IdentityViolation, match=r"not \{0\} or GF\(3\)"):
+        build_trace_code(build_defining_set_D(f27, 1))
+
+
+def test_a_p_element_kernel_other_than_the_prime_field_is_refused(f27, monkeypatch):
+    count = codes.trace_count_table
+    x = f27.basis_element(2)  # outside GF(3)
+    line = [(f27.constant(c) * x).index for c in range(3)]
+
+    def lined(ds):  # the words of the line {c*x : c in GF(3)} count as zero: p elements
+        counts = count(ds)
+        counts[line] = [len(ds)] + [0] * (ds.field.p - 1)
+        return counts
+
+    monkeypatch.setattr(codes, "trace_count_table", lined)
+    with pytest.raises(IdentityViolation, match=r"a 3-element kernel is not \{0\} or GF\(3\)"):
         build_trace_code(build_defining_set_D(f27, 1))
 
 
@@ -209,10 +224,10 @@ def test_index_kernel_of_D0_is_prime_subfield(f27):
 
 
 def test_coset_rows_of_a_zero_kernel_are_the_index_itself(f27, monkeypatch):
-    def refused(self, a, b):
-        raise AssertionError("a zero kernel needs no coset sums")
+    def refused(self, a, c=None):
+        raise AssertionError("a zero kernel needs no constant terms")
 
-    monkeypatch.setattr(type(f27), "sum_indices", refused)
+    monkeypatch.setattr(type(f27), "add_constant", refused)
     f81 = make_field(3, 4)
     cases = [("first", f27, 1), ("first", f27, 2), ("second-S", f81, None)]
     for construction, field, alpha in cases:
@@ -222,8 +237,10 @@ def test_coset_rows_of_a_zero_kernel_are_the_index_itself(f27, monkeypatch):
         index = np.flatnonzero(entry.index_mask(field))
         assert len(code.kernel) == 1
         assert np.array_equal(code.coset_rows(index), index)
-    with pytest.raises(AssertionError):  # D(0) has the prime field as kernel: the sums run
-        build_trace_code(build_defining_set_D(f27, 0)).coset_rows(np.arange(f27.q))
+    monkeypatch.undo()  # D(0) has the prime field as kernel: a row is the least of a + GF(3)
+    rows = build_trace_code(build_defining_set_D(f27, 0)).coset_rows(np.arange(f27.q))
+    least = {min((a + f27.constant(c)).index for c in range(3)) for a in enumerate_field(f27)}
+    assert rows.tolist() == sorted(least)
 
 
 def test_codeword_difference_matches_index_difference(f27):

@@ -21,7 +21,7 @@ from tracecc import (
     make_field,
     quadratic_character,
 )
-from tracecc.gfpm import TRACE_BLOCK_ROWS, Field
+from tracecc.gfpm import ROW_BLOCK, Field
 
 from conftest import enumerate_field
 
@@ -264,7 +264,7 @@ def test_trace_form_matches_scalar_traces_at_degree_five(p, m):
         (3, 2, None, None),
         (3, 3, None, None),
         # more rows than one block, and columns that are neither sorted nor contiguous
-        (37, 2, TRACE_BLOCK_ROWS + 300, 5),
+        (37, 2, ROW_BLOCK + 300, 5),
     ],
     ids=["3-2", "3-3", "37-2-two-blocks"],
 )
@@ -287,13 +287,14 @@ def test_square_table_matches_elementwise(p, m):
 
 
 @pytest.mark.parametrize("p,m", [(3, 3), (5, 2), (7, 3)])
-def test_sum_indices_match_scalar_sums(p, m):
+def test_add_constant_matches_scalar_sums(p, m):
     f = make_field(p, m)
-    rng = random.Random(p * 100 + m)
-    a = [rng.randrange(f.q) for _ in range(300)]
-    b = [rng.randrange(f.q) for _ in range(300)]
-    expected = [(f.element_at(i) + f.element_at(j)).index for i, j in zip(a, b)]
-    assert f.sum_indices(a, b).tolist() == expected
+    a = np.arange(f.q)
+    for c in range(p):
+        expected = [(f.element_at(int(i)) + f.constant(c)).index for i in a]
+        assert f.add_constant(a, c).tolist() == expected
+    least = [min((f.element_at(int(i)) + f.constant(c)).index for c in range(p)) for i in a]
+    assert f.add_constant(a).tolist() == least
 
 
 # at (5, 3) and (7, 3) the step matrix is squared several times and the last block is partial

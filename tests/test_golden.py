@@ -5,21 +5,50 @@ tests/golden/ holds the default `verify-sweep` report, the README's
 `gauss-check` reports are deterministic, so they are compared byte for byte
 too. Regenerate a file only for an intended report change,
 with the command its test runs plus `--out`.
+
+The default sweep is also run on a second basis: any two fields of order q are
+isomorphic by a map that keeps the trace, so weights, compositions, distances
+and verdicts do not depend on the modulus (Lidl & Niederreiter, *Finite
+Fields*, ch. 2), while every table built from it does.
 """
 
+import itertools
 import json
 from pathlib import Path
 
 import pytest
 
+from tracecc import ReducibleModulus, SweepSpec, make_field, run_sweep, sweep
 from tracecc.cli import main
 
 GOLDEN = Path(__file__).parent / "golden"
 
 
+def sweep_text(report) -> str:
+    doc = {"command": "verify-sweep", **report.to_json_dict(include_timing=False)}
+    return json.dumps(doc, indent=2) + "\n"
+
+
 def test_default_sweep_matches_golden(full_sweep_report):
-    doc = {"command": "verify-sweep", **full_sweep_report.to_json_dict(include_timing=False)}
-    text = json.dumps(doc, indent=2) + "\n"
+    assert sweep_text(full_sweep_report) == (GOLDEN / "verify-sweep-default.json").read_text()
+
+
+def test_default_sweep_on_the_largest_moduli_matches_golden(monkeypatch):
+    built = []
+
+    def largest(p, m):  # the first irreducible of a descending scan, constant term first
+        for tail in itertools.product(range(p - 1, -1, -1), repeat=m):
+            try:
+                field = make_field(p, m, tail + (1,))
+            except ReducibleModulus:
+                continue
+            built.append(field)
+            return field
+
+    monkeypatch.setattr(sweep, "make_field", largest)
+    text = sweep_text(run_sweep(SweepSpec()))
+    assert len(built) == 12
+    assert all(f.modulus != make_field(f.p, f.m).modulus for f in built)
     assert text == (GOLDEN / "verify-sweep-default.json").read_text()
 
 

@@ -156,18 +156,21 @@ def _symmetries(code, rows) -> list:
 
     In order: scaling, lam*c_a = c_(lam*a); on D(alpha != 0) the shift, c_a + 1 = c_(a + 1/alpha);
     Frobenius, c_a[sigma] = c_(a^(1/p)), d_sigma(k) = d_k^p; and sigma_lam, c_a[sigma] = lam*c_a,
-    d_sigma(k) = lam*d_k, a permutation only where lam*D = D; lam = g^((q-1)/(p-1)) generates
+    d_sigma(k) = lam*d_k, a permutation only where lam*D = D; lam = g^(+-(q-1)/(p-1)) generates
     GF(p)^*. P(j) is the row of the image's kernel coset, or M off the rows: _kept_maps drops it.
     """
     field, ds = code.field, code.defining_set
-    p, order, lam = field.p, field.q - 1, (field.q - 1) // (field.p - 1)  # lam as a power of g
+    p, order, e = field.p, field.q - 1, (field.q - 1) // (field.p - 1)
+    a = field.prime_subfield_indices().index(field.powers[e])  # g^e generates GF(p)^*
+    passes = lambda pair: pair[1].bit_length() + pair[1].bit_count()  # _affine's, plus 2
+    lam, a = min((e, a), (order - e, pow(a, -1, p)), key=passes)  # lam as a power of g, its residue
     position = np.full(field.q, len(rows))  # the row of each element's kernel coset
     position[rows] = np.arange(len(rows))
     if len(code.kernel) > 1:  # GF(p): gathered at each coset's least element
         position = position[field.add_constant(np.arange(field.q))]
     logs, d = field.log[rows], field.log[ds.indices]
     scale = position[field.powers[(logs + lam) % order]]
-    maps = [((field.prime_subfield_indices().index(field.powers[lam]), 0, p), None, scale)]
+    maps = [((a, 0, p), None, scale)]
     if ds.alpha:  # Tr((a + 1/alpha)*d) = Tr(a*d) + 1 on D(alpha)
         maps.append(((1, 1, p), None, position[field.add_constant(rows, pow(ds.alpha, -1, p))]))
     images = field.powers[np.stack([p * d, d + lam]) % order]  # d^p and lam*d

@@ -6,9 +6,10 @@ into complex numbers at the very end, which keeps roundoff far below the
 comparison tolerance. Closed-form predictions compute powers of sqrt(-1) as
 exact quarter turns so the predictor side cannot drift in sign.
 
-Completed quadratic sums run in batches of triples of element indices, by
-table lookups, the trace form and the log table `Field.log` for quotients: no
-scalar trace or inverse runs per triple, and the scalar routes stay the oracle.
+Completed quadratic sums run in batches of triples of element indices, by the
+log table `Field.log`: the residues of y = g^k are window rows of the sequence
+Tr(g^k), and the quotients are powers of g. No scalar trace or inverse runs per
+triple, and the scalar routes stay the oracle.
 
 Trace fibers come as one census per kind, a single histogram over every
 alpha of Tr(x) or Tr(x**2), beside the closed-form sizes.
@@ -22,12 +23,12 @@ from functools import lru_cache
 import numpy as np
 
 from .errors import FieldMismatch, OddDegree, ZeroLeadingCoefficient
-from .gfpm import Field, FieldElement, make_field
+from .gfpm import Field, FieldElement, add_mod, make_field
 
 #: absolute tolerance, per real/imaginary component, for closed-form agreement
 EPS = 1e-9
-#: trace residues (triples times q) one block of quadratic_sums holds; with 2**16,
-#: peak RSS after 100 charsums passes in one process read 2.2 MB (6%) higher
+#: trace residues (triples times q - 1) one block of quadratic_sums holds; peak RSS after 100
+#: charsums passes in one process read 32.0-32.2 MB with it and with 2**16 (numpy 2.4.6, 2 cores)
 QUADRATIC_BLOCK_CELLS = 2**14
 
 _QUARTER_TURNS = (1, 1j, -1, -1j)
@@ -81,8 +82,6 @@ def quadratic_sum(a2: FieldElement, a1: FieldElement, a0: FieldElement):
     field = a2.field
     if a1.field != field or a0.field != field:
         raise FieldMismatch("quadratic coefficients belong to different fields")
-    if a2.is_zero():
-        raise ZeroLeadingCoefficient("leading coefficient must be nonzero")
     evaluated, closed = quadratic_sums(field, *([x.index] for x in (a2, a1, a0)))
     return complex(evaluated[0]), complex(closed[0])
 
@@ -102,24 +101,26 @@ def completed_square(field: Field, a2, a1, a0):
 def quadratic_sums(field: Field, a2, a1, a0):
     """quadratic_sum for index arrays of triples, a2 nonzero: complex arrays (direct, closed).
 
-    The direct side runs in blocks of triples that hold about
-    QUADRATIC_BLOCK_CELLS trace residues (a triple takes q of them). It keeps its
-    own int32 trace rows, not Field.trace_of_multiples: a block holds few triples
-    (one at 7^5), and the kernel would rebuild its (p x q) lookups for each block.
+    For y = g^k, Tr(a2*y**2) = T[log a2 + 2k] and Tr(a1*y) = T[log a1 + k] with T[j] = Tr(g^j):
+    each triple's residues over k < q-1 are a window row of T read at stride 2, another read at
+    stride 1, and Tr(a0); y = 0 adds one count at Tr(a0). The direct side runs in blocks of triples
+    that hold about QUADRATIC_BLOCK_CELLS residues (a triple takes q - 1 of them).
     """
-    p, zeta, d = field.p, _zeta_table(field.p), field.digits
+    p, order, zeta, log = field.p, field.q - 1, _zeta_table(field.p), field.log
+    if (log[a2] < 0).any():
+        raise ZeroLeadingCoefficient("leading coefficient must be nonzero")
+    span = 2 * order - 1  # a stride-2 row of q-1 residues; its first q-1 are the stride-1 row
+    t = np.pad(np.tile(field.trace_table[field.powers], 3), (0, span)).view(np.uint8)
+    w = np.lib.stride_tricks.sliding_window_view(t, span)  # row -1 (log[0]) is all zeros
     rows = max(1, QUADRATIC_BLOCK_CELLS // field.q)
     evaluated = np.empty(len(a2), dtype=np.complex128)
     for s in range(0, len(a2), rows):
         b2, b1, b0 = a2[s : s + rows], a1[s : s + rows], a0[s : s + rows]
-        # Tr(a*y) = digits(y) @ w(a) with w(a) = G @ digits(a) (mod p), for every y at once
-        w = (d[np.concatenate([b2, b1])].astype(np.int32) @ field.trace_form) % p
-        t = sum(w[:, [k]] * d[:, k] for k in range(field.m))
-        n = len(b2)
-        residues = (t[:n, field.square_index_table] + t[n:] + field.trace_table[b0][:, None]) % p
-        residues += p * np.arange(n)[:, None]  # triple r counts into bins r*p .. r*p + p-1
-        counts = np.bincount(residues.ravel(), minlength=n * p).reshape(n, p).astype(np.float64)
-        evaluated[s : s + n] = [np.dot(row, zeta) for row in counts]
+        t0, bins = field.trace_table[b0].view(np.uint8), p * np.arange(len(b2))
+        residues = add_mod(add_mod(w[log[b2], ::2], w[log[b1], :order], p), t0[:, None], p)
+        counts = np.bincount((residues + bins[:, None]).ravel(), minlength=len(bins) * p)
+        counts[bins + t0] += 1  # y = 0; triple r counts into bins r*p .. r*p + p-1
+        evaluated[s : s + len(b2)] = np.vecdot(counts.reshape(-1, p).astype(np.float64), zeta)
     shift_trace, eta = completed_square(field, a2, a1, a0)
     return evaluated, zeta[shift_trace] * eta * gauss_sum_closed_fq(p, field.m)
 

@@ -26,6 +26,7 @@ from tracecc import (
     quadratic_sum,
     quadratic_trace_sign,
 )
+from tracecc import charsums
 from tracecc.charsums import completed_square, predicted_square_trace_fiber, quadratic_sums
 
 from conftest import enumerate_field
@@ -147,6 +148,28 @@ def test_completed_square_matches_scalar_route(p, m, sample):
     assert list(zip(shift_trace.tolist(), eta.tolist())) == expected
 
 
+@pytest.mark.parametrize("p,m,sample", [(3, 2, None), (3, 3, 40), (5, 2, 40), (7, 2, 40), (3, 4, 40)])
+def test_quadratic_sums_direct_side_matches_scalar_traces(p, m, sample):
+    # sum zeta^Tr(a2*x*x + a1*x + a0) over every x by scalar arithmetic: no table, no log
+    f = make_field(p, m)
+    if sample is None:  # every triple
+        a2, a1, a0 = np.indices((f.q - 1, f.q, f.q)).reshape(3, -1)
+        a2 = a2 + 1
+    else:  # every fourth triple has a1 = 0, every fourth after it a0 = 0
+        rng = random.Random(p * 100 + m)
+        a2, a1, a0 = np.array(
+            [[rng.randrange(low, f.q) for low in (1, 0, 0)] for _ in range(sample)]
+        ).T
+        a1[::4], a0[1::4] = 0, 0
+    assert {quadratic_character(f.element_at(int(i))) for i in a2} == {1, -1}
+    evaluated, _ = quadratic_sums(f, a2, a1, a0)
+    elements, zeta = list(enumerate_field(f)), cmath.exp(2j * cmath.pi / p)
+    for value, abc in zip(evaluated, zip(a2, a1, a0)):
+        c2, c1, c0 = (f.element_at(int(i)) for i in abc)
+        direct = sum(zeta ** (c2 * x * x + c1 * x + c0).trace() for x in elements)
+        assert abs(value - direct) < 1e-9
+
+
 def test_quadratic_sum_matches_naive_summation(f9):
     a2, a1, a0 = f9.element([1, 1]), f9.element([0, 2]), f9.element([2, 0])
     evaluated, _ = quadratic_sum(a2, a1, a0)
@@ -158,6 +181,13 @@ def test_quadratic_sum_matches_naive_summation(f9):
 def test_quadratic_sum_rejects_zero_leading_coefficient(f9):
     with pytest.raises(ZeroLeadingCoefficient):
         quadratic_sum(f9.zero, f9.one, f9.one)
+
+
+def test_quadratic_sums_reject_a_zero_leading_coefficient_anywhere(f9, monkeypatch):
+    monkeypatch.setattr(charsums, "QUADRATIC_BLOCK_CELLS", f9.q)  # one triple a block
+    a2 = np.array([1, 4, 0, 2])  # one zero a2 among nonzero ones, in the third block
+    with pytest.raises(ZeroLeadingCoefficient):
+        quadratic_sums(f9, a2, np.arange(4), np.arange(4))
 
 
 def test_quadratic_sum_rejects_mixed_fields(f9, f25):

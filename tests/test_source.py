@@ -89,8 +89,6 @@ def test_only_plan_sweep_names_a_skip():
 
 
 def test_only_gfpm_turns_the_trace_form_into_arrays():
-    # one trace kernel: codes and ccc ask Field.trace_of_multiples for words; quadratic_sums
-    # keeps its own trace rows because its blocks of few triples would rebuild the lookups
     found = []
     for path in sorted(PACKAGE.glob("*.py")):
         if path.name == "gfpm.py":
@@ -101,4 +99,4 @@ def test_only_gfpm_turns_the_trace_form_into_arrays():
                 for node in ast.walk(top)
                 if isinstance(node, ast.Attribute) and node.attr in ("trace_form", "digits")
             ]
-    assert [where for owner, where in found if owner != "charsums.quadratic_sums"] == []
+    assert found == []

@@ -1,30 +1,30 @@
 """Constant composition subcodes of the ambient trace codes.
 
-A subcode is the ambient code's distinct words over the index set, which must be a
-union of cosets of the kernel {a : c_a = 0}, {0} or GF(p); each word is kept as the least
-element of its coset (for GF(p), the one with constant term 0), in sorted order, and its
-composition is read from the ambient code's symbol-count table over the index set. Only
-the oracle's words are built. Extraction keeps two independent routes to the minimum distance,
-stored so reports can compare them: the pairwise census (the oracle) and the
-ambient minimum weight (the shortcut justified by the difference argument).
-Skipped above PAIRWISE_ORACLE_CAP words, the oracle compares one word per orbit of
-the maps that extraction names from the field's log table, each with its word permutation:
-scaling (every index set is closed under GF(p)^*), the all-ones shift (for D(alpha != 0)),
-the Frobenius coordinate permutation (D(alpha), E and every index set are closed under
-x -> x^p) and d -> lam*d. It keeps a map only if its images, checked in row blocks, are
-the named words, so a wrong permutation costs time, never a distance; one hit matrix per
-symbol orbit is summed over column blocks. D(0) and E are closed under GF(p)^*, and
-Tr(a*lam*d) = lam*Tr(a*d): there d -> lam*d permutes the words as scaling does, so column
-lam*d is a symbol bijection of column d, and the sums take one column per orbit, times p - 1.
+A subcode is the ambient code's distinct words over the index set, which must be closed
+under GF(p)^* and a union of cosets of the kernel {a : c_a = 0}, {0} or GF(p); each word is
+kept as the least element of its coset (for GF(p), the one with constant term 0), in sorted
+order. Word a counts s != 0 as word a/s counts 1, so all words share word 0's composition
+iff their counts of 0 and 1 are constant. Only the oracle's words are built. Extraction
+keeps two independent routes to the minimum distance, stored so reports can compare them:
+the pairwise census (the oracle) and the ambient minimum weight (the shortcut justified by
+the difference argument). Skipped above PAIRWISE_ORACLE_CAP words, the oracle compares one
+word per orbit of the maps that extraction names from the field's log table, each with its
+word permutation: scaling, the all-ones shift (for D(alpha != 0)), the Frobenius coordinate
+permutation (D(alpha), E and every index set are closed under x -> x^p) and d -> lam*d. It
+keeps a map only if its images, checked in row blocks, are the named words, so a wrong
+permutation costs time, never a distance; one hit matrix per symbol orbit is summed over
+column blocks. D(0) and E are closed under GF(p)^*, and Tr(a*lam*d) = lam*Tr(a*d): there
+d -> lam*d permutes the words as scaling does, so column lam*d is a symbol bijection of
+column d, and the sums take one column per orbit, times p - 1.
 
 The bound evaluation is exact integer/rational arithmetic throughout;
 optimality means M * denominator == n * d with no floating point involved.
 
 For alpha != 0, D(alpha) = c*D(alpha_ref) with c = alpha/alpha_ref in GF(p)^*, so
-c_a over D(alpha) is c_(ca) over D(alpha_ref) with its coordinates permuted: when
-both that set identity and c*I = I for the index set I are checked, a first-family
-subcode takes its distance from a PairwiseReference (the field's first alpha != 0
-subcode whose oracle ran) instead of running the oracle, and reports the route.
+c_a over D(alpha) is c_(ca) over D(alpha_ref) with its coordinates permuted, and c*I = I
+for the index set I: when that set identity is checked, a first-family subcode takes its
+distance from a PairwiseReference (the field's first alpha != 0 subcode whose oracle ran)
+instead of running the oracle, and reports the route.
 
 CONSTRUCTIONS is the one place that tells the paper's three constructions
 apart. Outside it, only the wrappers that the benchmark clocks by name branch on
@@ -55,7 +55,7 @@ from .codes import (
     predicted_weight_distribution_thm31,
     second_family_terms,
 )
-from .errors import CompositionLengthMismatch, DuplicateWords, UnsupportedDegree
+from .errors import CompositionLengthMismatch, DuplicateWords, IdentityViolation, UnsupportedDegree
 from .gfpm import ROW_BLOCK, add_mod
 
 #: largest word count for which the pairwise oracle runs (its match matrix is one row per orbit)
@@ -190,10 +190,10 @@ class PairwiseReference:
     defining_set: Optional[DefiningSet] = None
     d_pairwise: Optional[int] = None
 
-    def transfers_to(self, ds: DefiningSet, index: np.ndarray) -> bool:
-        """Whether c = alpha/alpha_ref maps the reference's set onto `ds` and `index` onto itself.
+    def transfers_to(self, ds: DefiningSet) -> bool:
+        """Whether c = alpha/alpha_ref maps the reference's set onto `ds`, as sorted index arrays.
 
-        Both are compared as sorted index arrays, so a broken check runs the oracle.
+        A broken check runs the oracle. Every index set I that _extract admits has c*I = I.
         """
         ref = self.defining_set
         if ref is None or ref.field != ds.field:
@@ -201,9 +201,8 @@ class PairwiseReference:
         field = ds.field
         c = ds.alpha * pow(ref.alpha, -1, field.p) % field.p
         shift = field.log[field.prime_subfield_indices()[c]]  # c*x = g^(log c + log x), x != 0
-        scaled = lambda x: np.sort(field.powers[(field.log[x] + shift) % (field.q - 1)])
-        sets_match = np.array_equal(scaled(ref.indices), ds.indices)
-        return sets_match and np.array_equal(scaled(index), index)
+        scaled = field.powers[(field.log[ref.indices] + shift) % (field.q - 1)]
+        return np.array_equal(np.sort(scaled), ds.indices)
 
 
 class CccParams(NamedTuple):
@@ -264,15 +263,17 @@ def _extract(code: TraceCode, construction: str, *, reference=None) -> CccCode:
     ds = code.defining_set
     if ds.kind != entry.defining_set:
         raise ValueError(f"{construction} subcodes come from a {entry.defining_set} code")
-    field = code.field
-    index = np.flatnonzero(entry.index_mask(field))
+    field, mask = code.field, entry.index_mask(code.field)
+    index = np.flatnonzero(mask)
     rows = code.coset_rows(index)
-    counts = code.counts[index]
-    composition = tuple(int(c) for c in counts[0])  # of word 0
-    composition_ok = bool((counts == composition).all())
+    logged = mask[field.powers].reshape(field.p - 1, -1)  # row j: g^(j*e) times row 0
+    if (logged != logged[0]).any():  # g^e generates GF(p)^*, e = (q-1)/(p-1)
+        raise IdentityViolation("the index set is not closed under GF(p)^*")
+    composition = tuple(int(c) for c in code.compositions(index[:1])[0])  # of word 0
+    composition_ok = bool((code.counts[index] == code.counts[index[0]]).all())
     d_ambient = minimum_distance(code)
     d_pairwise, route = None, "ambient-only"
-    if reference is not None and ds.alpha and reference.transfers_to(ds, index):
+    if reference is not None and ds.alpha and reference.transfers_to(ds):
         d_pairwise, route = reference.d_pairwise, "transferred"
     elif len(rows) <= PAIRWISE_ORACLE_CAP:  # the words and maps are made for the oracle alone
         d_pairwise = pairwise_min_distance(code.words(rows), _symmetries(code, rows))

@@ -3,12 +3,12 @@
 A trace code is the linear code whose codeword for each index element a is
 c_a = (Tr(a*d1), ..., Tr(a*dn)) with the d's running over a defining set in
 canonical field order. GF(q)^* is cyclic, so the counts of 0 and 1 in all q words
-are two FFT correlations of length q - 1, rounded only inside a stated margin; Tr is
-GF(p)-linear, so s != 0 occurs in c_a as often as 1 in c_(a/s). Each weight (n minus
-the count of 0), the kernel {a : c_a = 0}, checked to be {0} or GF(p), whose cosets are
-the distinct words (a coset a + GF(p) moves only the constant term: Field.add_constant),
-and every subcode's composition are read from that table; words are built only on request,
-by Field.trace_of_multiples. The census shares no logic with the closed-form predictors.
+are two FFT correlations of length q - 1, rounded only inside a stated margin: the code keeps
+those two columns, as Tr is GF(p)-linear and s != 0 occurs in c_a as often as 1 in c_(a/s).
+Each weight (n minus the count of 0), the kernel {a : c_a = 0}, checked to be {0} or GF(p),
+whose cosets are the distinct words (a coset a + GF(p) moves only the constant term:
+Field.add_constant), and every composition are read from them; words are built only on
+request, by Field.trace_of_multiples. The census shares no logic with the closed-form predictors.
 """
 
 from __future__ import annotations
@@ -21,13 +21,12 @@ import numpy as np
 from .charsums import quadratic_trace_sign
 from .errors import (
     DegenerateSet,
-    FieldMismatch,
     IdentityViolation,
     OddDegree,
     UnsupportedDegree,
     ZeroCode,
 )
-from .gfpm import Field, FieldElement
+from .gfpm import Field
 
 ROUNDING_MARGIN = 0.25  # farthest a float64 correlation may lie from an integer count
 
@@ -41,9 +40,6 @@ class WeightDistribution:
     @classmethod
     def from_counts(cls, counts: dict) -> "WeightDistribution":
         return cls(tuple(sorted((int(w), int(c)) for w, c in counts.items() if c)))
-
-    def as_dict(self) -> dict:
-        return dict(self.pairs)
 
     def total(self) -> int:
         return sum(c for _, c in self.pairs)
@@ -100,10 +96,10 @@ def build_defining_set_E(field: Field) -> DefiningSet:
 
 
 class TraceCode:
-    """The q indexed codewords of a trace code, held as their symbol counts.
+    """The q indexed codewords of a trace code, held as their counts of 0 and 1.
 
-    `counts[a, s]` counts the symbols s in the codeword of the element with index a;
-    `kernel` lists the a whose codeword is zero, so each word repeats over a + kernel.
+    `counts[a, s]` counts the symbols s = 0, 1 in the word of element a, `compositions` all p;
+    `kernel` lists the a whose word is zero, so each word repeats over a + kernel.
     """
 
     def __init__(self, defining_set, counts, kernel, dimension):
@@ -119,6 +115,13 @@ class TraceCode:
     def words(self, rows) -> np.ndarray:
         """(len(rows), n) int8 codewords of the listed element indices: Tr(a*d) over D."""
         return self.field.trace_of_multiples(rows, self.defining_set.indices)
+
+    def compositions(self, rows) -> np.ndarray:
+        """(len(rows), p) symbol counts of the listed words: N[a, s] = N[a/s, 1] for s != 0."""
+        field, rows = self.field, np.asarray(rows, dtype=np.int64)[:, None]
+        logs = field.log[rows] - field.log[list(field.prime_subfield_indices())[1:]]
+        quotients = np.where(rows > 0, field.powers[logs % (field.q - 1)], 0)  # 0/s = 0
+        return np.hstack([self.counts[rows, 0], self.counts[quotients, 1]])
 
     @cached_property
     def matrix(self) -> np.ndarray:
@@ -140,11 +143,6 @@ class TraceCode:
     def distinct_words(self) -> np.ndarray:
         return self.words(self.coset_rows(np.arange(self.field.q)))
 
-    def codeword(self, a: FieldElement) -> np.ndarray:
-        if a.field != self.field:
-            raise FieldMismatch("index element belongs to a different field")
-        return self.words([a.index])[0]
-
     def __repr__(self):
         return (
             f"TraceCode([{self.length}, {self.dimension}] over GF({self.field.p}), "
@@ -153,24 +151,24 @@ class TraceCode:
 
 
 def trace_count_table(ds: DefiningSet) -> np.ndarray:
-    """(q, p) table of N[a, s] = #{d in D : Tr(a*d) = s}, the symbol counts of every word.
+    """(q, 2) table of N[a, s] = #{d in D : Tr(a*d) = s} for s = 0 and 1, over every word.
 
     For a = g^i, N[a, s] = sum_k 1_D(g^k) [Tr(g^(i+k)) = s]: two cyclic correlations against
-    the field's trace spectra give s = 0 and 1, and as Tr is GF(p)-linear, N[a, s] = N[a/s, 1].
-    Refused unless both lie within ROUNDING_MARGIN of integers and every row sums to n.
+    the field's trace spectra, refused unless both lie within ROUNDING_MARGIN of integers and
+    every row sums to n. As N[a, s] = N[a/s, 1] and g^e generates GF(p)^*, row g^i sums to
+    N[g^i, 0] plus N[g^k, 1] over each k = i mod e, e = (q-1)/(p-1).
     """
     field, n, order = ds.field, len(ds), ds.field.q - 1
     member = np.zeros(2 * (field.trace_spectra.shape[1] - 1))
     member[field.log[ds.indices]] = 1.0
     corr = np.fft.irfft(np.conj(np.fft.rfft(member)) * field.trace_spectra, len(member))[:, :order]
     zeros, ones = table = np.rint(corr)
-    shifts = field.log[list(field.prime_subfield_indices())[1:]]  # log s for s = 1, ..., p-1
-    rolled = np.lib.stride_tricks.sliding_window_view(np.tile(ones, 2), order)[order - shifts]
-    if np.abs(corr - table).max() > ROUNDING_MARGIN or (zeros + rolled.sum(axis=0) != n).any():
+    rows = zeros.reshape(field.p - 1, -1) + ones.reshape(field.p - 1, -1).sum(axis=0)  # i mod e
+    if np.abs(corr - table).max() > ROUNDING_MARGIN or (rows != n).any():
         raise IdentityViolation(f"the symbol-count correlations over {field!r} are not counts")
-    counts = np.zeros((field.q, field.p), dtype=np.min_scalar_type(n))
+    counts = np.zeros((field.q, 2), dtype=np.min_scalar_type(n))
     counts[0, 0] = n  # the word of zero
-    counts[field.powers, 0], counts[field.powers, 1:] = zeros, rolled.T
+    counts[field.powers] = table.T
     return counts
 
 

@@ -277,7 +277,7 @@ class Field:
         """(2, L/2 + 1) rfft of [Tr(g^j) = s] over two periods of g, for s = 0 and 1 only.
 
         L is the least even 2^a 3^b 5^c >= 2(q-1), so a correlation of length q - 1 never
-        wraps and pocketfft stays on its fast radices. Tr is GF(p)-linear: s != 0 rolls s = 1.
+        wraps and pocketfft stays on its fast radices. Tr is GF(p)-linear: s != 0 is s = 1 at a/s.
         """
         exponents = range(self.q.bit_length() + 2)
         smooth = {2**a * 3**b * 5**c for a in exponents[1:] for b in exponents for c in exponents}

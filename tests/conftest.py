@@ -51,8 +51,8 @@ def full_sweep_report():
 def spike_spectra(field, offset, row=1):
     """Put the field's trace spectra off by a spike of `offset` at the start of the
     second period of symbol `row`'s sequence: N[g^i, row] moves by the offset for
-    every i with log d = q - 1 - i, d in the defining set. Row 1 is rolled into
-    every nonzero symbol's column, so a spike there moves all of them."""
+    every i with log d = q - 1 - i, d in the defining set. A row sum adds N[g^k, 1]
+    over each k = i mod e, so a spike in either row moves some row's sum."""
     spectra = field.trace_spectra.copy()
     spike = np.zeros(2 * (spectra.shape[1] - 1))
     spike[field.q - 1] = offset

@@ -5,9 +5,11 @@ Frozen (n, M, d, omega) tuples were derived with the independent naive
 implementation (set dedup, per-word symbol counts, double-loop distances).
 """
 
+import json
 import tracemalloc
 from dataclasses import replace
 from fractions import Fraction
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -34,6 +36,7 @@ from tracecc import (
     pairwise_min_distance,
     predicted_ccc_first,
     predicted_ccc_second,
+    quadratic_trace_sign,
 )
 from tracecc.ccc import (
     CONSTRUCTIONS,
@@ -84,17 +87,18 @@ def second_subcode(p, m, which):
 def test_composition_of_zero_word(f27):
     code = build_trace_code(build_defining_set_D(f27, 0))
     # zero and the rest of the kernel (the constants) index the zero word
-    assert code.counts[code.kernel].tolist() == [[8, 0, 0]] * 3
-    # the table takes the smallest unsigned type that holds the length
-    assert code.counts.dtype == np.uint8
+    assert code.compositions(code.kernel).tolist() == [[8, 0, 0]] * 3
+    # the table keeps the counts of 0 and 1, in the smallest unsigned type that holds the length
+    assert code.counts.shape == (27, 2) and code.counts.dtype == np.uint8
     wide = build_trace_code(build_defining_set_D(make_field(7, 4), 1))
-    assert wide.counts.dtype == np.uint16 and wide.counts[0].tolist() == [343] + [0] * 6
+    assert wide.counts.dtype == np.uint16 and wide.compositions([0]).tolist() == [[343] + [0] * 6]
 
 
 def test_composition_simple_word(f27):
     code = build_trace_code(build_defining_set_D(f27, 1))
     a = f27.element([1, 2, 0])
-    assert code.counts[a.index].tolist() == np.bincount(code.codeword(a), minlength=3).tolist()
+    word = code.words([a.index])[0]
+    assert code.compositions([a.index]).tolist() == [np.bincount(word, minlength=3).tolist()]
 
 
 @pytest.mark.parametrize("symbol", [3, -1])
@@ -115,8 +119,8 @@ def test_one_perturbed_count_fails_the_composition_check(p, m, construction, alp
     assert sub.composition_ok
     index = np.flatnonzero(CONSTRUCTIONS[construction].index_mask(code.field))
     outside = np.setdiff1d(np.arange(code.field.q), index)[-1]
-    assert code.counts[outside].tolist() != [code.length] + [0] * (p - 1)
-    code.counts[outside] = [code.length] + [0] * (p - 1)  # a row outside the index set is not read
+    assert code.compositions([outside]).tolist() != [[code.length] + [0] * (p - 1)]
+    code.counts[outside] = [code.length, 0]  # a row outside the index set is not read
     again = ccc._extract(code, construction)
     assert again.composition_ok and again.composition == sub.composition
     code.counts[index[-1], 0] += 1  # a subcode word other than word 0
@@ -151,6 +155,25 @@ def test_index_set_must_be_a_union_of_kernel_cosets(monkeypatch):
     monkeypatch.setitem(CONSTRUCTIONS, "first", one)
     with pytest.raises(IdentityViolation, match="union of cosets"):
         ccc._extract(code, "first")
+
+
+def test_index_set_must_be_closed_under_the_prime_field_units(monkeypatch):
+    # word a counts s != 0 as word a/s counts 1, so a composition is read within a closed set
+    field = make_field(3, 3)
+    code = build_trace_code(build_defining_set_D(field, 1))  # kernel {0}: every set is a union
+    x = field.basis_element(1)  # outside GF(3), so 2x != x
+
+    def index_set(*elements):
+        mask = lambda f: np.isin(np.arange(f.q), [a.index for a in elements])
+        entry = CONSTRUCTIONS["first"]._replace(index_mask=mask)
+        monkeypatch.setitem(CONSTRUCTIONS, "first", entry)
+
+    index_set(x)
+    with pytest.raises(IdentityViolation, match=r"not closed under GF\(p\)\^\*"):
+        ccc._extract(code, "first")
+    index_set(x, x + x)
+    sub = ccc._extract(code, "first")
+    assert sub.M == 2 and sub.composition_ok and sub.composition == (3, 3, 3)
 
 
 # -- pairwise distance oracle ---------------------------------------------------------
@@ -597,9 +620,13 @@ def test_a_broken_check_drops_the_transfer(monkeypatch, broken):
         entry = CONSTRUCTIONS["first"]._replace(index_mask=_without_the_last_index)
         monkeypatch.setitem(CONSTRUCTIONS, "first", entry)
     reference.d_pairwise = 999  # would show if the transfer still ran
-    sub = extract_subcode_first(code, reference=reference)
-    assert sub.distance_route == "pairwise"
-    assert sub.d_pairwise == extract_subcode_first(code).d_pairwise == sub.d_ambient
+    if broken == "index-closure":  # not closed under GF(p)^*: refused before any distance
+        with pytest.raises(IdentityViolation, match=r"not closed under GF\(p\)\^\*"):
+            extract_subcode_first(code, reference=reference)
+    else:
+        sub = extract_subcode_first(code, reference=reference)
+        assert sub.distance_route == "pairwise"
+        assert sub.d_pairwise == extract_subcode_first(code).d_pairwise == sub.d_ambient
 
 
 def test_a_reference_of_another_field_is_not_read():
@@ -687,7 +714,7 @@ def test_extraction_matches_naive_dedupe(p, m, construction, alpha):
     code, sub = build_construction(field, construction, alpha)
     index = naive_index_set(field, construction)
     # the index set's codewords deduplicated by tuple, in row order
-    reference = list(dict.fromkeys(tuple(code.codeword(a).tolist()) for a in index))
+    reference = list(dict.fromkeys(tuple(code.words([a.index])[0].tolist()) for a in index))
     assert [tuple(word) for word in sub.words.tolist()] == reference
     assert sub.index_count == len(index)
 
@@ -834,6 +861,46 @@ def test_lfvc_rejects_bad_composition():
 def test_lfvc_exactness_uses_integers():
     report = lfvc_evaluate(12, 36, 6, (0, 2, 2, 2, 2, 2, 2))
     assert report.denominator == 12 * 6 - 144 + 24 == -48
+
+
+def second_family_denominator(p, m, which):
+    """The LFVC denominator of a second-family subcode, factored in h = p^(m/2-1) and tau."""
+    h, tau = p ** (m // 2 - 1), quadratic_trace_sign(p, m)
+    return {
+        ("complement", 1): h * (p - 1) * (h * p - h * h + 1),
+        ("complement", -1): -h * h * (p - 1) * (h * (p - 1) - 1),
+        ("S", 1): -h * (p - 1) * (h - 1) ** 2,
+        ("S", -1): -h * (h + 1) * (p - 1) * (h * (p - 1) - 2),
+    }[which, tau]
+
+
+def test_second_family_denominators_follow_their_factored_forms():
+    # the README's theorem: every second-family denominator is <= 0 except the complement's
+    # at m = 4, p*(p-1); it is 0 only on S at (3, 2)
+    primes = [p for p in range(3, 1000, 2) if all(p % r for r in range(3, int(p**0.5) + 1, 2))]
+    denominators = {}
+    for p in primes:
+        for m in range(2, 21, 2):
+            for which in ("S", "complement"):
+                try:
+                    params = predicted_ccc_second(p, m, which)
+                except DegenerateSet:  # E is empty at m = 2 when p = 1 mod 4
+                    continue
+                denominator = denominators[p, m, which] = lfvc_evaluate(*params).denominator
+                assert denominator == second_family_denominator(p, m, which), (p, m, which)
+    assert len(denominators) == 3180
+    assert {k for k, v in denominators.items() if v > 0} == {(p, 4, "complement") for p in primes}
+    assert {k for k, v in denominators.items() if v == 0} == {(3, 2, "S")}
+    assert all(denominators[p, 4, "complement"] == p * (p - 1) for p in primes)
+    golden = Path(__file__).parent / "golden" / "verify-sweep-default.json"
+    golden = json.loads(golden.read_text())
+    second = [r for r in golden["instances"] if r["construction"].startswith("second-")]
+    second = [r for r in second if r["status"] == "ok"]  # the rest are skips: odd m, empty E
+    assert len(second) == 10
+    for r in second:
+        which = r["construction"].removeprefix("second-")
+        expected = second_family_denominator(r["p"], r["m"], which)
+        assert r["detail"]["lfvc"]["denominator"] == expected, (r["p"], r["m"], which)
 
 
 @pytest.mark.parametrize(

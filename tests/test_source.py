@@ -1,11 +1,13 @@
-"""Source-level rules for the package itself."""
+"""Source-level rules for the package itself, and its README's quickstart."""
 
 import ast
+import re
 from pathlib import Path
 
 import tracecc
 
 PACKAGE = Path(tracecc.__file__).parent
+README = Path(__file__).parents[1] / "README.md"
 
 
 def test_no_verification_rests_on_assert():
@@ -100,3 +102,11 @@ def test_only_gfpm_turns_the_trace_form_into_arrays():
                 if isinstance(node, ast.Attribute) and node.attr in ("trace_form", "digits")
             ]
     assert found == []
+
+
+def test_readme_quickstart_prints_what_its_comments_say(capsys):
+    # each print line of the README's python block ends in a comment with what it prints
+    block = re.search(r"```python\n(.*?)```", README.read_text(), re.S).group(1)
+    expected = [line.split("# ", 1)[1] for line in block.splitlines() if line.startswith("print(")]
+    exec(compile(block, "README.md", "exec"), {})
+    assert expected and capsys.readouterr().out.splitlines() == expected

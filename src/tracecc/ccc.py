@@ -12,8 +12,8 @@ word per orbit of the maps that extraction names from the field's log table, eac
 word permutation: scaling, the all-ones shift (for D(alpha != 0)), the Frobenius coordinate
 permutation (D(alpha), E and every index set are closed under x -> x^p) and d -> lam*d. It
 keeps a map only if its images, checked in row blocks, are the named words, so a wrong
-permutation costs time, never a distance; one hit matrix per symbol orbit is summed over
-column blocks. D(0) and E are closed under GF(p)^*, and Tr(a*lam*d) = lam*Tr(a*d): there
+permutation costs time, never a distance; per column block, each symbol's hit products are
+added as made. D(0) and E are closed under GF(p)^*, and Tr(a*lam*d) = lam*Tr(a*d): there
 d -> lam*d permutes the words as scaling does, so column lam*d is a symbol bijection of
 column d, and the sums take one column per orbit, times p - 1.
 
@@ -58,7 +58,7 @@ from .codes import (
 from .errors import CompositionLengthMismatch, DuplicateWords, IdentityViolation, UnsupportedDegree
 from .gfpm import ROW_BLOCK, add_mod
 
-#: largest word count for which the pairwise oracle runs (its match matrix is one row per orbit)
+#: largest word count for which the pairwise oracle runs (its match matrix is one column per orbit)
 PAIRWISE_ORACLE_CAP = 5000
 PAIRWISE_COLUMN_BLOCK = 256  # coordinates whose hit products the oracle sums at once
 
@@ -72,7 +72,8 @@ def pairwise_min_distance(words, symmetries=()) -> int:
     with all words (with none, every word is), and an equal pair meets a representative:
     distance 0 raises DuplicateWords. A sigma whose P is a kept symbol map f's has
     w[sigma] = f(w), so column sigma(k) agrees where column k does: hits are summed per
-    column block over one column per orbit of such sigma, times its size.
+    column block over one column per orbit of such sigma, times its size. Besides the words,
+    it holds an M x 256 hit block and three M x |R| arrays for the representatives R.
     """
     w = np.ascontiguousarray(np.asarray(words, dtype=np.int8))
     if w.ndim != 2 or w.shape[0] < 2:
@@ -85,7 +86,8 @@ def pairwise_min_distance(words, symmetries=()) -> int:
         table is not None and np.array_equal(perm, other) for table, _, other in kept)]  # fmt: skip
     weight = np.bincount(_least_in_orbit(n, folds), minlength=n).astype(np.float32)  # orbit sizes
     columns = np.flatnonzero(weight)  # the sizes sit at each orbit's least column
-    matches = np.zeros((len(reps), m_words), dtype=np.float32)  # exact: counts stay below 2**24
+    matches = np.zeros((m_words, len(reps)), dtype=np.float32)  # exact: counts stay below 2**24
+    part = np.empty_like(matches)  # one symbol's products on one column block
     hits = np.empty((m_words, min(n, PAIRWISE_COLUMN_BLOCK)), dtype=np.float32)  # no bool copy
     rows_of = {}  # symbol s -> rows Q of its orbit's least symbol b with hits_s = hits_b[Q]
     for base in (s for s in symbols if s not in rows_of):
@@ -95,17 +97,14 @@ def pairwise_min_distance(words, symmetries=()) -> int:
                 if inverse is not None and inverse[s] not in rows_of:
                     rows_of[inverse[s]] = rows_of[s][perm]
                     orbit.append(inverse[s])
-        rows = np.concatenate([rows_of[s][reps] for s in orbit])
-        block = np.zeros((len(rows), m_words), dtype=np.float32)
         for start in range(0, len(columns), PAIRWISE_COLUMN_BLOCK):  # hits on a block J of columns
             j = columns[start : start + PAIRWISE_COLUMN_BLOCK]
             hits_j = hits[:, : len(j)]
             np.equal(w[:, j], base, out=hits_j, casting="unsafe")
-            left = hits_j[rows]  # times the orbit sizes, in place
-            block += np.multiply(left, weight[j], out=left) @ hits_j.T
-        for s, part in zip(orbit, block.reshape(len(orbit), len(reps), m_words)):
-            matches += part if s == base else part[:, rows_of[s]]
-    matches[np.arange(len(reps)), reps] = -1.0
+            for s in orbit:  # part[x, i] = hits_b[x] . hits_s[reps[i]], as hits_s = hits_b[Q_s]
+                np.matmul(hits_j, (hits_j[rows_of[s][reps]] * weight[j]).T, out=part)
+                matches += part if s == base else part[rows_of[s]]  # row Q_s[x] is word x's
+    matches[reps, np.arange(len(reps))] = -1.0
     if (distance := n - int(matches.max())) == 0:
         raise DuplicateWords("two identical words found (distance 0)")
     return distance

@@ -346,8 +346,8 @@ def test_pairwise_oracle_kernel_per_symbol_orbit(alpha, shift, symbol_maps):
 
 def test_pairwise_oracle_traced_peak_stays_below_four_bytes_per_symbol():
     # the GF(7^5) alpha = 0 subcode (M = n = 2400) with its scaling and Frobenius maps, so no
-    # column folds; whole map images and a float32 hit matrix over all n coordinates read
-    # 8.3 bytes a symbol
+    # column folds; maps are checked a row block at a time and hits are made 256 columns at
+    # a time, so the peak reads 1.3 bytes a symbol
     sub = first_subcode(7, 5, 0)
     words, maps = sub.words, _symmetries(sub.source, sub.rows)[:-1]
     tracemalloc.start()
@@ -360,10 +360,15 @@ def test_pairwise_oracle_traced_peak_stays_below_four_bytes_per_symbol():
     assert peak < 4 * words.size
 
 
-def test_pairwise_oracle_traced_peak_with_both_sweep_maps():
-    # the same subcode with the scaling map as well, which folds the 2400 columns into 400
-    sub = first_subcode(7, 5, 0)
+@pytest.mark.parametrize("p,m,construction,alpha", [(7, 5, "first", 0), (7, 4, "second-S", None)])
+def test_pairwise_oracle_traced_peak_with_both_sweep_maps(p, m, construction, alpha):
+    # 7^5 alpha = 0 with the scaling map as well, which folds the 2400 columns into 400; 7^4
+    # second-S (M = 2100, n = 300) has 92 representatives and one orbit of the 6 nonzero
+    # symbols, whose products the oracle once held all together as a 12.6 MB block
+    sub = build_construction(make_field(p, m), construction, alpha)[1]
     words, maps = sub.words, _symmetries(sub.source, sub.rows)
+    kept = _kept_maps(words.astype(np.int8), maps)
+    reps = (ccc._least_in_orbit(sub.M, [perm for *_, perm in kept]) == np.arange(sub.M)).sum()
     tracemalloc.start()
     try:
         before = tracemalloc.get_traced_memory()[0]
@@ -372,7 +377,10 @@ def test_pairwise_oracle_traced_peak_with_both_sweep_maps():
     finally:
         tracemalloc.stop()
     assert distance == sub.d_ambient
-    assert peak < 4 * words.size
+    # the words, the M x 256 hit block and the M x |R| float32 arrays, with room to spare
+    assert peak < 1.5 * (sub.M * sub.n + 4 * sub.M * (2 * reps + min(sub.n, 256)))
+    if construction == "first":  # n = 2400: the hit block is small beside the words
+        assert peak < 4 * words.size
 
 
 def orbit_counts(monkeypatch):

@@ -1,10 +1,12 @@
-"""Source-level rules for the package itself, and its README's quickstart."""
+"""Source-level rules for the package itself, and its README's quickstart and CLI lines."""
 
 import ast
 import re
+import shlex
 from pathlib import Path
 
 import tracecc
+from tracecc import cli
 
 PACKAGE = Path(tracecc.__file__).parent
 README = Path(__file__).parents[1] / "README.md"
@@ -110,3 +112,12 @@ def test_readme_quickstart_prints_what_its_comments_say(capsys):
     expected = [line.split("# ", 1)[1] for line in block.splitlines() if line.startswith("print(")]
     exec(compile(block, "README.md", "exec"), {})
     assert expected and capsys.readouterr().out.splitlines() == expected
+
+
+def test_readme_cli_lines_exit_zero(tmp_path, monkeypatch):
+    # each tracecc line of the README's sh blocks runs as written, its trailing comment aside
+    blocks = re.findall(r"```sh\n(.*?)```", README.read_text(), re.S)
+    lines = [line for block in blocks for line in block.splitlines() if line.startswith("tracecc ")]
+    monkeypatch.chdir(tmp_path)
+    codes = {line: cli.main(shlex.split(line, comments=True)[1:]) for line in lines}
+    assert lines and codes == dict.fromkeys(lines, 0)

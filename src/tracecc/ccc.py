@@ -22,16 +22,18 @@ optimality means M * denominator == n * d with no floating point involved.
 
 For alpha != 0, D(alpha) = c*D(alpha_ref) with c = alpha/alpha_ref in GF(p)^*, so
 c_a over D(alpha) is c_(ca) over D(alpha_ref) with its coordinates permuted, and c*I = I
-for the index set I: when that set identity is checked, a first-family subcode takes its
-distance from a PairwiseReference (the field's first alpha != 0 subcode whose oracle ran)
-instead of running the oracle, and reports the route.
+for the index set I: when that set identity is checked, a first-family code reads its
+census N[a] = N_ref[c*a] from a PairwiseReference (the field's first alpha != 0 code)
+instead of correlating, and its subcode takes the reference's distance, if the reference's
+oracle ran, instead of running the oracle, and reports the route.
 
 CONSTRUCTIONS is the one place that tells the paper's three constructions
 apart. Outside it, only the wrappers that the benchmark clocks by name branch on
 a construction name: extract_subcode_* here, and sweep's verify_*_instance and
 the run_sweep branch that picks one of them (and passes the reference only to the
 first construction). On alpha, the first construction's closed forms and bound
-checks branch at alpha = 0, and _extract fills and reads a reference at alpha != 0.
+checks branch at alpha = 0, and at alpha != 0 build_construction reads a reference's
+census and _extract fills the reference and reads its distance.
 """
 
 from __future__ import annotations
@@ -180,28 +182,36 @@ def _symmetries(code, rows) -> list:
 
 @dataclass
 class PairwiseReference:
-    """The defining set and oracle distance of one field's first alpha != 0 subcode.
+    """The defining set, census and oracle distance of one field's first alpha != 0 code.
 
-    Made empty per field by the caller; `_extract` fills it from the first alpha != 0
-    first-family instance whose oracle ran, and transfers its distance to a later one.
+    Made empty per field by the caller. `_extract` keeps the set and (q, 2) census of the
+    first alpha != 0 first-family code it meets, whether or not its oracle runs, and the
+    distance if it ran. A later alpha != 0 code whose set passes `scaling` gathers its census
+    from the reference's (build_construction) and takes the distance if there is one.
     """
 
     defining_set: Optional[DefiningSet] = None
+    counts: Optional[np.ndarray] = None
     d_pairwise: Optional[int] = None
+    checked: tuple = (None, None, None)  # the last check: reference set, set, its scaling
 
-    def transfers_to(self, ds: DefiningSet) -> bool:
-        """Whether c = alpha/alpha_ref maps the reference's set onto `ds`, as sorted index arrays.
-
-        A broken check runs the oracle. Every index set I that _extract admits has c*I = I.
+    def scaling(self, ds: DefiningSet) -> Optional[np.ndarray]:
+        """c*a for every index a, c = alpha/alpha_ref, if c maps the reference's set onto `ds`
+        as sorted index arrays, else None: then N[a] = N_ref[c*a] and the distances agree
+        (every index set I that _extract admits has c*I = I). The census and the distance
+        share one check of each set; a broken check runs the correlation and the oracle.
         """
         ref = self.defining_set
         if ref is None or ref.field != ds.field:
-            return False
-        field = ds.field
-        c = ds.alpha * pow(ref.alpha, -1, field.p) % field.p
-        shift = field.log[field.prime_subfield_indices()[c]]  # c*x = g^(log c + log x), x != 0
-        scaled = field.powers[(field.log[ref.indices] + shift) % (field.q - 1)]
-        return np.array_equal(np.sort(scaled), ds.indices)
+            return None
+        if self.checked[0] is not ref or self.checked[1] is not ds:
+            field = ds.field
+            c = ds.alpha * pow(ref.alpha, -1, field.p) % field.p
+            shift = field.log[field.prime_subfield_indices()[c]]  # c*x = g^(log c + log x), x != 0
+            scaled = np.where(field.log < 0, 0, field.powers[(field.log + shift) % (field.q - 1)])
+            same = np.array_equal(np.sort(scaled[ref.indices]), ds.indices)
+            self.checked = (ref, ds, scaled if same else None)
+        return self.checked[2]
 
 
 class CccParams(NamedTuple):
@@ -272,13 +282,16 @@ def _extract(code: TraceCode, construction: str, *, reference=None) -> CccCode:
     composition_ok = bool((code.counts[index] == code.counts[index[0]]).all())
     d_ambient = minimum_distance(code)
     d_pairwise, route = None, "ambient-only"
-    if reference is not None and ds.alpha and reference.transfers_to(ds):
+    referenced = reference is not None and ds.alpha  # the first family at alpha != 0
+    if referenced and reference.defining_set is None:
+        reference.defining_set, reference.counts = ds, code.counts
+    if referenced and reference.d_pairwise is not None and reference.scaling(ds) is not None:
         d_pairwise, route = reference.d_pairwise, "transferred"
     elif len(rows) <= PAIRWISE_ORACLE_CAP:  # the words and maps are made for the oracle alone
         d_pairwise = pairwise_min_distance(code.words(rows), _symmetries(code, rows))
         route = "pairwise"
-        if reference is not None and ds.alpha and reference.defining_set is None:
-            reference.defining_set, reference.d_pairwise = ds, d_pairwise
+        if reference is not None and reference.defining_set is ds:
+            reference.d_pairwise = d_pairwise
     return CccCode(
         code,
         construction,
@@ -474,7 +487,9 @@ def build_construction(field, construction: str, alpha=None, *, reference=None) 
             raise ValueError("--alpha is required for the first construction")
         if not 0 <= alpha < field.p:
             raise ValueError(f"alpha {alpha} is not a residue mod {field.p}")
-        code = build_trace_code(build_defining_set_D(field, alpha))
+        ds = build_defining_set_D(field, alpha)
+        scaled = reference.scaling(ds) if reference is not None and alpha else None
+        code = build_trace_code(ds) if scaled is None else TraceCode(ds, reference.counts[scaled])
         return code, extract_subcode_first(code, reference=reference)
     if alpha is not None:
         raise ValueError("--alpha applies to the first construction only")

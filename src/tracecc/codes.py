@@ -99,18 +99,21 @@ class TraceCode:
     """The q indexed codewords of a trace code, held as their counts of 0 and 1.
 
     `counts[a, s]` counts the symbols s = 0, 1 in the word of element a, `compositions` all p;
-    `kernel` lists the a whose word is zero, so each word repeats over a + kernel.
+    `kernel` lists the a whose word is zero, so each word repeats over a + kernel. The kernel
+    {a : N[a, 0] = n} of a -> c_a must be {0} or GF(p): dimension m or m - 1.
     """
 
-    def __init__(self, defining_set, counts, kernel, dimension):
+    def __init__(self, defining_set, counts):
         self.defining_set = defining_set
-        self.field = defining_set.field
+        self.field = field = defining_set.field
         self.length = len(defining_set)
         self.counts = counts
-        self.kernel = kernel
-        self.distinct_count = self.field.q // len(kernel)
+        self.kernel = kernel = np.flatnonzero(counts[:, 0] == self.length)
+        if kernel.tolist() not in ([0], list(field.prime_subfield_indices())):
+            raise IdentityViolation(f"a {len(kernel)}-element kernel is not {{0}} or GF({field.p})")
+        self.distinct_count = field.q // len(kernel)
         self.weights = self.length - counts[:, 0]  # of each indexed word
-        self.dimension = dimension
+        self.dimension = field.m - (len(kernel) > 1)
 
     def words(self, rows) -> np.ndarray:
         """(len(rows), n) int8 codewords of the listed element indices: Tr(a*d) over D."""
@@ -173,16 +176,8 @@ def trace_count_table(ds: DefiningSet) -> np.ndarray:
 
 
 def build_trace_code(ds: DefiningSet) -> TraceCode:
-    """Count the symbols of every codeword of the trace construction, building none.
-
-    The kernel {a : N[a, 0] = n} of a -> c_a must be {0} or GF(p): dimension m or m - 1.
-    """
-    field = ds.field
-    counts = trace_count_table(ds)
-    kernel = np.flatnonzero(counts[:, 0] == len(ds))
-    if kernel.tolist() not in ([0], list(field.prime_subfield_indices())):
-        raise IdentityViolation(f"a {len(kernel)}-element kernel is not {{0}} or GF({field.p})")
-    return TraceCode(ds, counts, kernel, field.m - (len(kernel) > 1))
+    """Count the symbols of every codeword of the trace construction, building none."""
+    return TraceCode(ds, trace_count_table(ds))
 
 
 def weight_distribution(code: TraceCode) -> WeightDistribution:

@@ -112,10 +112,10 @@ class Field:
         self.q = p**m
         self.modulus = tuple(modulus)
         self._index_weights = tuple(p ** (m - 1 - i) for i in range(m))
-        # digits of x**k mod modulus for k = 0 .. 2m-2, used to reduce products
+        # digits of x**k mod modulus, k = 0 .. 3m-3: products reduce by k <= 2m-2, traces read all
         top = tuple((-c) % p for c in modulus[:m])
         rows = [tuple(1 if j == k else 0 for j in range(m)) for k in range(m)]
-        for _ in range(m - 1):
+        for _ in range(2 * m - 2):
             prev = rows[-1]
             carry = prev[m - 1]
             rows.append(tuple(((prev[j - 1] if j else 0) + carry * top[j]) % p for j in range(m)))
@@ -205,9 +205,11 @@ class Field:
     def trace_form(self) -> np.ndarray:
         """(m, m) int16 Gram matrix of the trace form, G[i, k] = Tr(x^i * x^k) = Tr(x^(i+k)).
 
-        Tr(a*b) = digits(a) @ G @ digits(b) (mod p): 2m - 1 scalar traces stand in for all others.
+        Tr(a*b) = digits(a) @ G @ digits(b) (mod p). Tr(y) is the trace of multiplication by y,
+        whose row j is y * x^j: Tr(x^k) sums the diagonal digits of x^k, ..., x^(k+m-1).
         """
-        traces = np.array([FieldElement(self, row).trace() for row in self._xpow], dtype=np.int16)
+        diagonal = np.array(self._xpow)[np.add.outer(np.arange(2 * self.m - 1), np.arange(self.m))]
+        traces = (np.trace(diagonal, axis1=1, axis2=2) % self.p).astype(np.int16)
         g = traces[np.add.outer(np.arange(self.m), np.arange(self.m))]
         g.setflags(write=False)
         return g
@@ -240,24 +242,38 @@ class Field:
     def powers(self) -> np.ndarray:
         """(q-1,) int64 indices of g^0, ..., g^(q-2), g the first primitive element by index.
 
-        g passes a scalar pow test against each prime factor of q - 1. Multiplication by
-        g^L is GF(p)-linear: its m x m matrix (row i: the digits of g^L * x^i) gives the
-        next L powers, and squaring it mod p doubles L. The powers must list every nonzero
-        index once. Every multiplicative table reads them: squares, eta, log and spectra.
+        g is the first index whose multiplication matrix M (row j: g * x^j) has M^((q-1)/r) != I
+        mod p for each prime r | q - 1, tested in blocks [1, 2), [2, 4), ... by square and
+        multiply. Multiplication by g^L is GF(p)-linear: its matrix gives the next L powers,
+        and squaring it mod p doubles L. The powers must list every nonzero index once.
+        Every multiplicative table reads them: squares, eta, log and spectra.
         """
-        order = self.q - 1
-        factors = [r for r in range(2, order + 1) if order % r == 0 and _is_prime(r)]
-        candidates = (i for i in range(1, self.q) if all(
-            self.element_at(i) ** (order // r) != self.one for r in factors))  # fmt: skip
-        g = self.element_at(next(candidates, self.one.index))  # in a ring none may pass
-        step = np.array([(g * self.basis_element(i)).coeffs for i in range(self.m)])
+        p, m, order = self.p, self.m, self.q - 1
+        divisors = (r for r in range(1, math.isqrt(order) + 1) if order % r == 0)  # trial division
+        factors = {f for r in divisors for f in (r, order // r) if _is_prime(f)}
+        hankel = np.array(self._xpow, dtype=np.int64)[np.add.outer(np.arange(m), np.arange(m))]
+        eye = np.eye(m, dtype=np.int64)
+        g, step = self.one.index, eye  # in a ring none may pass
+        for low in (2**k for k in range(self.q.bit_length())):
+            block = np.arange(low, min(2 * low, self.q))
+            mats = np.einsum("bi,ijk->bjk", self.digits[block].astype(np.int64), hankel) % p
+            passes = np.ones(len(block), dtype=bool)
+            for r in factors:
+                power, base, e = eye, mats, order // r
+                while e:
+                    power = power @ base % p if e & 1 else power
+                    base, e = base @ base % p, e >> 1
+                passes &= (power != eye).any(axis=(1, 2))
+            if passes.any():
+                g, step = int(block[passes.argmax()]), mats[passes.argmax()]
+                break
         weights = np.array(self._index_weights)
         powers = np.array([self.one.index])
         while len(powers) < order:  # step multiplies by g^L, L = len(powers)
-            block = self.digits[powers[: order - len(powers)]] @ step % self.p
-            powers, step = np.append(powers, block @ weights), step @ step % self.p
+            block = self.digits[powers[: order - len(powers)]] @ step % p
+            powers, step = np.append(powers, block @ weights), step @ step % p
         if not np.array_equal(np.sort(powers), np.arange(1, self.q)):
-            raise IdentityViolation(f"the powers of {g!r} miss a nonzero element")
+            raise IdentityViolation(f"the powers of {self.element_at(g)!r} miss a nonzero element")
         powers.setflags(write=False)
         return powers
 
@@ -276,12 +292,10 @@ class Field:
     def trace_spectra(self) -> np.ndarray:
         """(2, L/2 + 1) rfft of [Tr(g^j) = s] over two periods of g, for s = 0 and 1 only.
 
-        L is the least even 2^a 3^b 5^c >= 2(q-1), so a correlation of length q - 1 never
-        wraps and pocketfft stays on its fast radices. Tr is GF(p)-linear: s != 0 is s = 1 at a/s.
+        L = fft_length(q), so a correlation of length q - 1 never wraps and pocketfft stays on
+        its fast radices. Tr is GF(p)-linear: s != 0 is s = 1 at a/s.
         """
-        exponents = range(self.q.bit_length() + 2)
-        smooth = {2**a * 3**b * 5**c for a in exponents[1:] for b in exponents for c in exponents}
-        length = min(n for n in smooth if n >= 2 * (self.q - 1))
+        length = fft_length(self.q)
         symbols = np.tile(self.trace_table[self.powers], 2) == np.arange(2)[:, None]
         spectra = np.fft.rfft(symbols, length)
         spectra.setflags(write=False)
@@ -307,6 +321,11 @@ class Field:
             for g, digit in zip(gen, self.digits[a[start : start + ROW_BLOCK]].T):
                 add_mod(block, (np.arange(p)[:, None] * g % p).astype(np.uint8)[digit], p, block)
         return out.view(np.int8)
+
+
+def fft_length(q: int) -> int:
+    """The least even 2^a 3^b 5^c >= 2(q - 1): those n <= 2^64 are the divisors of 30^64."""
+    return next(n for n in itertools.count(2 * (q - 1), 2) if pow(30, 64, n) == 0)
 
 
 def add_mod(x, y, p, out=None) -> np.ndarray:

@@ -169,7 +169,7 @@ def _verify(construction: str, field: Field, alpha, reference=None) -> InstanceR
 def verify_first_instance(field: Field, alpha: int, *, reference=None):
     """Check the D(alpha) code and its subcode against all closed forms.
 
-    `reference`, a PairwiseReference of this field, is filled or read by the extraction.
+    `reference`, a PairwiseReference of this field, lends its census or is filled.
     """
     return _verify("first", field, alpha, reference)
 
@@ -239,7 +239,7 @@ def run_sweep(spec: SweepSpec) -> VerificationReport:
     """Run the planned instances, building each field once.
 
     The first family's alpha != 0 instances of a field share one PairwiseReference,
-    dropped with the field, so the oracle runs once per field for them. A
+    dropped with the field, so the correlation and oracle run once per field for them. A
     TraceCCError in an instance becomes a fail record carrying the error, and the
     sweep goes on.
     """

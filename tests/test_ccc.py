@@ -28,6 +28,7 @@ from tracecc import (
     build_defining_set_E,
     build_trace_code,
     ccc,
+    codes,
     extract_subcode_first,
     extract_subcode_second,
     lfvc_evaluate,
@@ -642,6 +643,44 @@ def test_a_reference_of_another_field_is_not_read():
     extract_subcode_first(d_code(make_field(3, 4), 1), reference=reference)
     code = d_code(make_field(3, 3), 2)
     assert extract_subcode_first(code, reference=reference).distance_route == "pairwise"
+
+
+def counted_correlations(monkeypatch):
+    made = []
+    count = codes.trace_count_table
+
+    def counting(ds):
+        made.append((ds.kind, ds.alpha))
+        return count(ds)
+
+    monkeypatch.setattr(codes, "trace_count_table", counting)
+    return made
+
+
+@pytest.mark.parametrize("p,m", [(3, 4), (5, 3), (7, 3)])
+def test_a_census_gathered_from_the_reference_equals_its_own_correlation(monkeypatch, p, m):
+    field, reference = make_field(p, m), PairwiseReference()
+    made = counted_correlations(monkeypatch)
+    codes_by_alpha = {alpha: build_construction(field, "first", alpha, reference=reference)[0]
+                      for alpha in range(1, p)}  # fmt: skip
+    assert made == [("D-alpha", 1)]  # D(alpha) = alpha*D(1): one correlation per field
+    monkeypatch.undo()
+    for alpha, code in codes_by_alpha.items():
+        own = codes.trace_count_table(build_defining_set_D(field, alpha))
+        assert np.array_equal(code.counts, own)
+        assert code.counts.dtype == own.dtype
+
+
+def test_a_reference_set_that_fails_the_identity_lends_no_census(monkeypatch):
+    field, reference = make_field(5, 3), PairwiseReference()
+    build_construction(field, "first", 1, reference=reference)
+    dropped = reference.defining_set.indices[:-1]  # one index dropped
+    reference.defining_set = DefiningSet(field, "D-alpha", 1, dropped)
+    made = counted_correlations(monkeypatch)
+    code, sub = build_construction(field, "first", 2, reference=reference)
+    assert made == [("D-alpha", 2)]
+    assert sub.distance_route == "pairwise"
+    assert np.array_equal(code.counts, d_code(field, 2).counts)
 
 
 # -- second construction --------------------------------------------------------------------

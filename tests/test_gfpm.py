@@ -21,9 +21,10 @@ from tracecc import (
     make_field,
     quadratic_character,
 )
+from tracecc import gfpm
 from tracecc.gfpm import ROW_BLOCK, Field
 
-from conftest import enumerate_field
+from conftest import SWEEP_POINTS, enumerate_field
 
 
 def naive_mul(a, b, modulus, p):
@@ -256,6 +257,68 @@ def test_trace_form_matches_scalar_traces_at_degree_five(p, m):
     for i in range(m):
         for k in range(m):
             assert g[i, k] == (f.basis_element(i) * f.basis_element(k)).trace()
+
+
+@pytest.mark.parametrize("p,m", [(3, 6), (3, 7), (5, 6)])
+def test_trace_form_reads_the_rows_past_x_to_the_2m_minus_2(p, m):
+    # Tr(x^(2m-2)) reads the diagonal of x^(2m-2), ..., x^(3m-3)
+    f = make_field(p, m)
+    assert len(f._xpow) == 3 * m - 2
+    x = f.basis_element(1)
+    for k in range(2 * m - 1):
+        assert f.trace_form[min(k, m - 1), k - min(k, m - 1)] == (x**k).trace()
+
+
+def test_building_every_table_takes_no_scalar_trace_or_power(monkeypatch):
+    calls = []
+    trace, power = gfpm.FieldElement.trace, gfpm.FieldElement.__pow__
+
+    def counting_trace(x):
+        calls.append(("trace", x))
+        return trace(x)
+
+    def counting_power(x, e):
+        calls.append(("pow", x))
+        return power(x, e)
+
+    monkeypatch.setattr(gfpm.FieldElement, "trace", counting_trace)
+    monkeypatch.setattr(gfpm.FieldElement, "__pow__", counting_power)
+    for p, m in [(7, 5), (3, 1)]:
+        f = make_field(p, m)
+        for table in ("trace_form", "trace_table", "powers", "log", "trace_spectra",
+                      "square_index_table", "quadratic_character_table"):  # fmt: skip
+            getattr(f, table)
+    assert calls == []
+    make_field(3, 2).element_at(1) ** 2  # the counters do see the scalar routes
+    make_field(3, 2).element_at(1).trace()
+    assert [kind for kind, _ in calls][:2] == ["pow", "trace"]
+
+
+def _scalar_primitive(f, x, primes):
+    return all(x ** ((f.q - 1) // r) != f.one for r in primes)
+
+
+@pytest.mark.parametrize("p,m", SWEEP_POINTS)
+def test_g_is_the_first_index_that_passes_the_scalar_primitivity_test(p, m):
+    f = make_field(p, m)
+    primes = [r for r in range(2, f.q) if (f.q - 1) % r == 0 and all(r % k for k in range(2, r))]
+    g = int(f.powers[1])
+    assert _scalar_primitive(f, f.element_at(g), primes)
+    assert not any(_scalar_primitive(f, f.element_at(i), primes) for i in range(1, g))
+
+
+def test_fft_length_is_the_least_even_5_smooth_length():
+    smooth = sorted(
+        2**a * 3**b * 5**c for a in range(1, 22) for b in range(14) for c in range(10)
+        if 2**a * 3**b * 5**c <= 2 * 10**6 + 1000  # past 2(q - 1) for every q <= 10^6
+    )  # fmt: skip
+    odd_primes = [p for p in range(3, 128) if all(p % k for k in range(2, p))]
+    qs = [p**m for p in odd_primes for m in range(1, 20) if p**m <= 10**6]
+    assert len(qs) == 111
+    for q in qs:
+        assert gfpm.fft_length(q) == next(n for n in smooth if n >= 2 * (q - 1))
+    f = make_field(7, 2)
+    assert f.trace_spectra.shape == (2, gfpm.fft_length(49) // 2 + 1)
 
 
 @pytest.mark.parametrize(

@@ -12,7 +12,7 @@ import numpy as np
 import pytest
 
 from tracecc import (
-    DegenerateSet, NotPrime, SweepSpec, ccc, charsums, gfpm, make_field, run_sweep, sweep
+    DegenerateSet, NotPrime, SweepSpec, ccc, charsums, codes, gfpm, make_field, run_sweep, sweep
 )
 from tracecc.codes import WeightDistribution
 
@@ -30,6 +30,19 @@ def test_each_field_is_built_once(monkeypatch):
     monkeypatch.setattr(sweep, "make_field", counting)
     run_sweep(SweepSpec(p_list=(3,), m_min=2, m_max=3))
     assert built == [(3, 2), (3, 3)]
+
+
+def test_the_default_sweep_makes_24_first_family_correlations(monkeypatch):
+    made = Counter()
+    count = codes.trace_count_table
+
+    def counting(ds):
+        made[ds.kind] += 1
+        return count(ds)
+
+    monkeypatch.setattr(codes, "trace_count_table", counting)
+    run_sweep(SweepSpec())
+    assert made == {"D-alpha": 24, "E": 10}  # D(alpha != 0) = alpha*D(1) for 12 fields
 
 
 @pytest.mark.parametrize(
@@ -289,8 +302,8 @@ def test_gauss_check_takes_no_scalar_trace_or_inverse_per_triple(monkeypatch):
     monkeypatch.setattr(gfpm.FieldElement, "inverse", counting_inverse)
     report = sweep.gauss_check(field)
     assert report["quadratic"]["count"] == 26 * 27 * 27
-    # the one scalar trace is the 1x1 trace form of the GF(3) that gauss_sum_fp builds
-    assert traced == [make_field(3, 1)]
+    # not even the 1x1 trace form of the GF(3) that gauss_sum_fp builds takes a scalar trace
+    assert traced == []
     assert inverted == []
 
 

@@ -13,9 +13,11 @@ word permutation: scaling, the all-ones shift (for D(alpha != 0)), the Frobenius
 permutation (D(alpha), E and every index set are closed under x -> x^p) and d -> lam*d. It
 keeps a map only if its images, checked in row blocks, are the named words, so a wrong
 permutation costs time, never a distance; per column block, each symbol's hit products are
-added as made. D(0) and E are closed under GF(p)^*, and Tr(a*lam*d) = lam*Tr(a*d): there
-d -> lam*d permutes the words as scaling does, so column lam*d is a symbol bijection of
-column d, and the sums take one column per orbit, times p - 1.
+added as made. D(0) and E are closed under GF(p)^*, and Tr(a*lam*d) = lam*Tr(a*d): before
+any word is built, extraction checks on the m basis words x^i that column lam*d is lam times
+column d, so every word's is, builds the words on one column per orbit of d -> lam*d alone,
+and multiplies the oracle's distance by p - 1. On those columns Frobenius is a permutation
+with a multiplier per column, checked on the words like every map.
 
 The bound evaluation is exact integer/rational arithmetic throughout;
 optimality means M * denominator == n * d with no floating point involved.
@@ -68,14 +70,12 @@ PAIRWISE_COLUMN_BLOCK = 256  # coordinates whose hit products the oracle sums at
 def pairwise_min_distance(words, symmetries=()) -> int:
     """Exact minimum Hamming distance over all unordered pairs of words.
 
-    Each of `symmetries` is a map with its word permutation P, f(w_j) = w_P(j): ((a, b, p),
-    None, P) for s -> a*s + b mod p, (None, sigma, P) for w -> w[sigma]. Maps that _kept_maps
-    finds to permute the words keep distances, so one word per orbit of those is compared
-    with all words (with none, every word is), and an equal pair meets a representative:
-    distance 0 raises DuplicateWords. A sigma whose P is a kept symbol map f's has
-    w[sigma] = f(w), so column sigma(k) agrees where column k does: hits are summed per
-    column block over one column per orbit of such sigma, times its size. Besides the words,
-    it holds an M x 256 hit block and three M x |R| arrays for the representatives R.
+    Each of `symmetries` is a map with its word permutation P, f(w_j) = w_P(j), as _kept_maps
+    reads it. Maps that _kept_maps finds to permute the words keep distances, so one word per
+    orbit of those is compared with all words (with none, every word is), and an equal pair
+    meets a representative: distance 0 raises DuplicateWords. Hits are summed per column
+    block. Besides the words, it holds an M x 256 hit block and three M x |R| arrays for the
+    representatives R. Extraction folds columns before it builds the words (_fold), not here.
     """
     w = np.ascontiguousarray(np.asarray(words, dtype=np.int8))
     if w.ndim != 2 or w.shape[0] < 2:
@@ -84,10 +84,6 @@ def pairwise_min_distance(words, symmetries=()) -> int:
     symbols = range(int(w.min(initial=0)), int(w.max(initial=0)) + 1)
     kept = _kept_maps(w, symmetries)
     reps = np.flatnonzero(_least_in_orbit(m_words, [perm for *_, perm in kept]) == np.arange(m_words))
-    folds = [sigma for _, sigma, perm in kept if sigma is not None and any(
-        table is not None and np.array_equal(perm, other) for table, _, other in kept)]  # fmt: skip
-    weight = np.bincount(_least_in_orbit(n, folds), minlength=n).astype(np.float32)  # orbit sizes
-    columns = np.flatnonzero(weight)  # the sizes sit at each orbit's least column
     matches = np.zeros((m_words, len(reps)), dtype=np.float32)  # exact: counts stay below 2**24
     part = np.empty_like(matches)  # one symbol's products on one column block
     hits = np.empty((m_words, min(n, PAIRWISE_COLUMN_BLOCK)), dtype=np.float32)  # no bool copy
@@ -99,12 +95,11 @@ def pairwise_min_distance(words, symmetries=()) -> int:
                 if inverse is not None and inverse[s] not in rows_of:
                     rows_of[inverse[s]] = rows_of[s][perm]
                     orbit.append(inverse[s])
-        for start in range(0, len(columns), PAIRWISE_COLUMN_BLOCK):  # hits on a block J of columns
-            j = columns[start : start + PAIRWISE_COLUMN_BLOCK]
-            hits_j = hits[:, : len(j)]
-            np.equal(w[:, j], base, out=hits_j, casting="unsafe")
+        for start in range(0, n, PAIRWISE_COLUMN_BLOCK):  # hits on a block of columns
+            hits_j = hits[:, : min(n - start, PAIRWISE_COLUMN_BLOCK)]
+            np.equal(w[:, start : start + PAIRWISE_COLUMN_BLOCK], base, out=hits_j, casting="unsafe")
             for s in orbit:  # part[x, i] = hits_b[x] . hits_s[reps[i]], as hits_s = hits_b[Q_s]
-                np.matmul(hits_j, (hits_j[rows_of[s][reps]] * weight[j]).T, out=part)
+                np.matmul(hits_j, hits_j[rows_of[s][reps]].T, out=part)
                 matches += part if s == base else part[rows_of[s]]  # row Q_s[x] is word x's
     matches[reps, np.arange(len(reps))] = -1.0
     if (distance := n - int(matches.max())) == 0:
@@ -123,30 +118,33 @@ def _least_in_orbit(size, perms) -> np.ndarray:
 def _kept_maps(w, symmetries) -> list:
     """(f^-1 for a symbol map f else None, sigma else None, P) of each named map that keeps w.
 
-    Kept only if sigma and P are permutations, a symbol map s -> a*s + b mod p permutes 0..p-1
-    and the words use no other symbol, and f(w) == w[P] one ROW_BLOCK of rows at a time.
+    ((a, b, p) or None, sigma or None, P) names f(w) = a*w[sigma] + b mod p, with None for no
+    step on the symbols or on the coordinates; a is one multiplier or, with sigma, one per
+    coordinate. Kept only if sigma and P are permutations, every a is a unit mod p and the
+    words use no symbol outside 0..p-1, and f(w) == w[P] one ROW_BLOCK of rows at a time.
     """
     (m_words, n), kept, step = w.shape, [], ROW_BLOCK
     top = int(w.view(np.uint8).max(initial=0))  # a negative symbol reads as a large byte
     permutes = lambda x, size: np.array_equal(np.sort(x), np.arange(size))
     for affine, sigma, perm in symmetries:
-        if sigma is None:
-            (a, b, p), f = affine, lambda x: _affine(x, a % p, b % p, p)
-            table = (a * np.arange(p) + b) % p
-            ok = top < p and permutes(table, p)
-        else:
-            f, ok = lambda x: np.take(x, sigma, axis=1), permutes(sigma, n)
+        a, b, p = affine or (1, 0, top + 1)  # None: every symbol in use stays
+        a, b, take = np.asarray(a) % p, b % p, lambda x: x if sigma is None else np.take(x, sigma, 1)
+        ok = top < p and (np.gcd(a, p) == 1).all() and (sigma is None or permutes(sigma, n))
         if ok and permutes(perm, m_words) and all(
-            np.array_equal(f(w[s : s + step]).view(np.int8), w[perm[s : s + step]])
+            np.array_equal(_affine(take(w[s : s + step]), a, b, p).view(np.int8), w[perm[s : s + step]])
             for s in range(0, m_words, step)
         ):
-            kept.append((None if sigma is not None else np.argsort(table).tolist(), sigma, perm))
+            inverse = np.argsort((a * np.arange(p) + b) % p).tolist() if sigma is None else None
+            kept.append((inverse, sigma, perm))
     return kept
 
 
 def _affine(rows, a, b, p) -> np.ndarray:
-    """a*rows + b mod p in uint8 for a, b in 0..p-1: double-and-add, one bit of a at a time."""
+    """a*rows + b mod p in uint8 for a, b in 0..p-1: double-and-add, one bit of a at a time, or
+    in 16 bits for one a per column."""
     x = acc = rows.view(np.uint8)
+    if np.ndim(a):
+        return ((x * a.astype(np.uint16) + b) % p).astype(np.uint8)
     for bit in bin(a)[3:]:
         acc = add_mod(acc, acc, p) if bit == "0" else add_mod(add_mod(acc, acc, p), x, p)
     return add_mod(acc, b, p) if b else acc
@@ -159,6 +157,7 @@ def _symmetries(code, rows) -> list:
     Frobenius, c_a[sigma] = c_(a^(1/p)), d_sigma(k) = d_k^p; and sigma_lam, c_a[sigma] = lam*c_a,
     d_sigma(k) = lam*d_k, a permutation only where lam*D = D; lam = g^(+-(q-1)/(p-1)) generates
     GF(p)^*. P(j) is the row of the image's kernel coset, or M off the rows: _kept_maps drops it.
+    A d^p or lam*d outside D reads another column, so its map keeps the words only by chance.
     """
     field, ds = code.field, code.defining_set
     p, order, e = field.p, field.q - 1, (field.q - 1) // (field.p - 1)
@@ -175,9 +174,36 @@ def _symmetries(code, rows) -> list:
     if ds.alpha:  # Tr((a + 1/alpha)*d) = Tr(a*d) + 1 on D(alpha)
         maps.append(((1, 1, p), None, position[field.add_constant(rows, pow(ds.alpha, -1, p))]))
     images = field.powers[np.stack([p * d, d + lam]) % order]  # d^p and lam*d
-    frobenius, sigma_lam = np.searchsorted(ds.indices, images)
+    frobenius, sigma_lam = np.minimum(np.searchsorted(ds.indices, images), len(ds) - 1)
     roots = field.powers[logs * (field.q // p) % order]  # a^(1/p) = a^(p^(m-1))
     return maps + [(None, frobenius, position[roots]), (None, sigma_lam, scale)]
+
+
+def _fold(code, maps) -> tuple:
+    """(columns, maps on them): one column per orbit of sigma_lam, if it folds, else all of them.
+
+    maps are _symmetries': scaling by a first, Frobenius and sigma_lam last. sigma_lam folds if it
+    permutes the n columns in orbits of p - 1 and the words of the basis x^0..x^(m-1) have
+    w[:, sigma_lam] == a*w mod p: every word is the digits of its element times those words, so
+    each has column sigma_lam(k) = a * column k, and two words differ at sigma_lam(k) exactly
+    where they differ at k. Then d_k^p = lam^i * d_r, r the least column of its orbit, and
+    Frobenius on the folded words is w -> mu*w[sigma] with sigma(k) the place of r and mu_k = a^i.
+    """
+    field, n = code.field, code.length
+    ((a, _, p), _, _), (_, frobenius, roots), (_, sigma_lam, _) = maps[0], maps[-2], maps[-1]
+    if not np.array_equal(np.sort(sigma_lam), np.arange(n)):
+        return np.arange(n), maps
+    basis = field.trace_of_multiples(list(field._index_weights), code.defining_set.indices)
+    columns = np.flatnonzero(_least_in_orbit(n, [sigma_lam]) == np.arange(n))
+    place, mu, k = np.empty(n, dtype=np.int64), np.empty(n, dtype=np.int64), columns
+    for i in range(p - 1):  # column k is a^i times column columns[place[k]]
+        place[k], mu[k], k = np.arange(len(columns)), pow(a, i, p), sigma_lam[k]
+    if not (len(columns) * (p - 1) == n and np.array_equal(k, columns)) or not np.array_equal(
+        basis[:, sigma_lam].view(np.uint8), _affine(basis, a, 0, p)
+    ):
+        return np.arange(n), maps
+    image = frobenius[columns]
+    return columns, maps[:-2] + [((mu[image], 0, p), place[image], roots)]
 
 
 @dataclass
@@ -279,7 +305,7 @@ def _extract(code: TraceCode, construction: str, *, reference=None) -> CccCode:
     if (logged != logged[0]).any():  # g^e generates GF(p)^*, e = (q-1)/(p-1)
         raise IdentityViolation("the index set is not closed under GF(p)^*")
     composition = tuple(int(c) for c in code.compositions(index[:1])[0])  # of word 0
-    composition_ok = bool((code.counts[index] == code.counts[index[0]]).all())
+    composition_ok = bool((np.take(code.counts, index, axis=0) == code.counts[index[0]]).all())
     d_ambient = minimum_distance(code)
     d_pairwise, route = None, "ambient-only"
     referenced = reference is not None and ds.alpha  # the first family at alpha != 0
@@ -288,7 +314,9 @@ def _extract(code: TraceCode, construction: str, *, reference=None) -> CccCode:
     if referenced and reference.d_pairwise is not None and reference.scaling(ds) is not None:
         d_pairwise, route = reference.d_pairwise, "transferred"
     elif len(rows) <= PAIRWISE_ORACLE_CAP:  # the words and maps are made for the oracle alone
-        d_pairwise = pairwise_min_distance(code.words(rows), _symmetries(code, rows))
+        columns, maps = _fold(code, _symmetries(code, rows))
+        words = field.trace_of_multiples(rows, ds.indices[columns])
+        d_pairwise = code.length // len(columns) * pairwise_min_distance(words, maps)
         route = "pairwise"
         if reference is not None and reference.defining_set is ds:
             reference.d_pairwise = d_pairwise

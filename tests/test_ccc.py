@@ -42,12 +42,13 @@ from tracecc import (
 from tracecc.ccc import (
     CONSTRUCTIONS,
     PairwiseReference,
+    _fold,
     _kept_maps,
     _symmetries,
     build_construction,
     ccc_json,
 )
-from tracecc.gfpm import ROW_BLOCK
+from tracecc.gfpm import ROW_BLOCK, Field
 
 from conftest import SWEEP_POINTS, enumerate_field
 
@@ -312,6 +313,14 @@ def test_frobenius_permutation_matches_repeated_products(sweep_fields, p, m):
         for j in positions:
             frobenius = (field.element_at(int(ds.indices[j])) ** p).index
             assert ds.indices[sigma[j]] == frobenius
+        # on D(0) and E, one column per orbit, and d^p = mu * d_r for the column r it names
+        columns, maps = _fold(build_trace_code(ds), _symmetries(build_trace_code(ds), np.arange(1, 2)))
+        assert len(columns) * (p - 1 if ds.alpha is None or ds.alpha == 0 else 1) == len(ds)
+        if len(columns) < len(ds):
+            (mu, _, _), folded, _ = maps[-1]
+            for k in np.arange(len(columns)) if field.q <= 7**4 else rng.choice(len(columns), 50):
+                d, r = (field.element_at(int(ds.indices[columns[j]])) for j in (k, folded[k]))
+                assert d**p == field.constant(int(mu[k])) * r
 
 
 def test_pairwise_oracle_drops_a_coordinate_permutation_that_moves_a_word_out():
@@ -363,7 +372,7 @@ def test_pairwise_oracle_traced_peak_stays_below_four_bytes_per_symbol():
 
 @pytest.mark.parametrize("p,m,construction,alpha", [(7, 5, "first", 0), (7, 4, "second-S", None)])
 def test_pairwise_oracle_traced_peak_with_both_sweep_maps(p, m, construction, alpha):
-    # 7^5 alpha = 0 with the scaling map as well, which folds the 2400 columns into 400; 7^4
+    # 7^5 alpha = 0 with the scaling map and sigma_lam as well, on all 2400 columns; 7^4
     # second-S (M = 2100, n = 300) has 92 representatives and one orbit of the 6 nonzero
     # symbols, whose products the oracle once held all together as a 12.6 MB block
     sub = build_construction(make_field(p, m), construction, alpha)[1]
@@ -382,10 +391,19 @@ def test_pairwise_oracle_traced_peak_with_both_sweep_maps(p, m, construction, al
     assert peak < 1.5 * (sub.M * sub.n + 4 * sub.M * (2 * reps + min(sub.n, 256)))
     if construction == "first":  # n = 2400: the hit block is small beside the words
         assert peak < 4 * words.size
+        # extraction builds the words on 400 columns, one per orbit of GF(7)^*
+        tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            assert ccc._extract(sub.source, construction).d_pairwise == sub.d_ambient
+            peak = tracemalloc.get_traced_memory()[1] - before
+        finally:
+            tracemalloc.stop()
+        assert peak < 1.25 * sub.M * sub.n
 
 
 def orbit_counts(monkeypatch):
-    """(size, orbit count) of each _least_in_orbit call: the oracle's rows, then its columns."""
+    """(size, orbit count) of each _least_in_orbit call: the fold's columns, the oracle's rows."""
     calls, least = [], ccc._least_in_orbit
 
     def counted(size, perms):
@@ -395,6 +413,13 @@ def orbit_counts(monkeypatch):
 
     monkeypatch.setattr(ccc, "_least_in_orbit", counted)
     return calls
+
+
+def built_tables(monkeypatch):
+    """(rows, columns) of each word table that Field.trace_of_multiples builds."""
+    built, trace = [], Field.trace_of_multiples
+    monkeypatch.setattr(Field, "trace_of_multiples", lambda f, a, x: built.append((len(a), len(x))) or trace(f, a, x))
+    return built
 
 
 @pytest.mark.parametrize(
@@ -410,13 +435,16 @@ def orbit_counts(monkeypatch):
     ],
 )
 def test_pairwise_oracle_with_both_sweep_maps_matches_naive(monkeypatch, p, m, construction):
-    # D(0) and E are closed under GF(p)^*: column sigma_lam(k) is lam times column k
+    # D(0) and E are closed under GF(p)^*: column sigma_lam(k) is lam times column k, so the
+    # words on one column per orbit, with Frobenius as a monomial map, give the distance / (p - 1)
     alpha = 0 if construction == "first" else None
     sub = build_construction(make_field(p, m), construction, alpha)[1]
     calls = orbit_counts(monkeypatch)
-    distance = pairwise_min_distance(sub.words, _symmetries(sub.source, sub.rows))
+    columns, maps = _fold(sub.source, _symmetries(sub.source, sub.rows))
+    assert len(_kept_maps(sub.words[:, columns], maps)) == 2  # scaling and Frobenius
+    distance = (p - 1) * pairwise_min_distance(sub.words[:, columns], maps)
     assert distance == naive_pairwise_min(sub.words.tolist())
-    assert calls[-1] == (sub.n, sub.n // (p - 1))
+    assert calls[0] == (sub.n, len(columns)) == (sub.n, sub.n // (p - 1))
 
 
 def test_pairwise_oracle_folds_nothing_with_a_broken_scaling_map(monkeypatch):
@@ -429,30 +457,77 @@ def test_pairwise_oracle_folds_nothing_with_a_broken_scaling_map(monkeypatch):
     maps = [scale, (None, frobenius, perm_f), (None, broken, perm)]
     kept = _kept_maps(sub.words, maps)
     assert [sigma is frobenius for _, sigma, _ in kept if sigma is not None] == [True]
-    calls = orbit_counts(monkeypatch)
-    distance = pairwise_min_distance(sub.words, maps)
+    columns, unfolded = _fold(sub.source, maps)
+    assert np.array_equal(columns, np.arange(sub.n)) and unfolded is maps
+    distance = pairwise_min_distance(sub.words[:, columns], unfolded)
     assert distance == naive_pairwise_min(sub.words.tolist()) == sub.d_ambient
-    assert calls[-1] == (sub.n, sub.n)
+
+
+@pytest.mark.parametrize("broken", ["sigma_lam", "basis word", "orbits of (p - 1)/2"])
+def test_a_broken_fold_proof_builds_the_words_on_every_column(monkeypatch, broken):
+    # sigma_lam with two entries swapped, one symbol of one basis word x^i changed, or sigma_lam
+    # and scaling squared, whose columns are a^2 times their preimages in orbits of 2 columns:
+    # the proof fails, so extraction builds all n columns and checks the unfolded maps on them
+    p, m, code = 5, 3, build_trace_code(build_defining_set_D(make_field(5, 3), 0))
+    named, trace = _symmetries, Field.trace_of_multiples
+
+    def swapped(code, rows):
+        *maps, (_, sigma, perm) = named(code, rows)
+        return maps + [(None, sigma[np.r_[1, 0, 2 : len(sigma)]], perm)]
+
+    def squared(code, rows):
+        ((a, b, p), _, scale), *maps, (_, sigma, perm) = named(code, rows)
+        return [((a * a % p, b, p), None, scale[scale])] + maps + [(None, sigma[sigma], perm[perm])]
+
+    def changed(field, a, x):
+        table = trace(field, a, x)
+        if list(a) == list(field._index_weights):
+            table[1, 0] = (table[1, 0] + 1) % field.p
+        return table
+
+    if broken == "basis word":
+        monkeypatch.setattr(Field, "trace_of_multiples", changed)
+    else:
+        monkeypatch.setattr(ccc, "_symmetries", swapped if broken == "sigma_lam" else squared)
+    built = built_tables(monkeypatch)
+    sub = ccc._extract(code, "first")
+    assert built == [(m, sub.n), (sub.M, sub.n)]  # the basis words, then every column
+    assert sub.distance_route == "pairwise"
+    assert sub.d_pairwise == naive_pairwise_min(sub.words.tolist()) == sub.d_ambient
+
+
+def test_a_monomial_frobenius_map_with_one_multiplier_off_is_dropped():
+    p, sub = 7, build_construction(make_field(7, 3), "first", 0)[1]
+    columns, (scale, ((mu, _, _), sigma, perm)) = _fold(sub.source, _symmetries(sub.source, sub.rows))
+    words, unit, zero, clash = sub.words[:, columns], mu.copy(), mu.copy(), sigma.copy()
+    unit[0], zero[0], clash[0] = mu[0] % (p - 1) + 1, p, sigma[1]  # another unit, 0 mod p
+    assert len(_kept_maps(words, [scale, ((mu, 0, p), sigma, perm)])) == 2
+    for broken in [((unit, 0, p), sigma, perm), ((zero, 0, p), sigma, perm), ((mu, 0, p), clash, perm)]:
+        assert _kept_maps(words, [scale, broken]) == [_kept_maps(words, [scale])[0]]
+        distance = (p - 1) * pairwise_min_distance(words, [scale, broken])
+        assert distance == naive_pairwise_min(sub.words.tolist()) == sub.d_ambient
 
 
 @pytest.mark.parametrize("p,m", SWEEP_POINTS)
 def test_sweep_folds_columns_on_D0_and_E_and_never_on_D_alpha(sweep_fields, monkeypatch, p, m):
-    # lam*D(alpha) = D(lam*alpha): for alpha != 0 sigma_lam is no permutation, so it is
-    # dropped before any word is touched; D(0) and E fold into orbits of p - 1 columns
+    # lam*D(alpha) = D(lam*alpha): for alpha != 0 sigma_lam is no permutation, so nothing folds
+    # and no basis word is built; D(0) and E fold into orbits of p - 1 columns
     field = sweep_fields[p, m]
-    calls = orbit_counts(monkeypatch)
+    calls, built = orbit_counts(monkeypatch), built_tables(monkeypatch)
     for construction in CONSTRUCTIONS:
         if CONSTRUCTIONS[construction].defining_set == "E" and (m % 2 or p**m == 25):
             continue  # E needs an even degree and is empty over GF(5^2)
         for alpha in range(p) if construction == "first" else [None]:
-            calls.clear()
+            calls.clear(), built.clear()
             sub = build_construction(field, construction, alpha)[1]
             sigma_lam = _symmetries(sub.source, sub.rows)[-1][1]
             assert np.array_equal(np.sort(sigma_lam), np.arange(sub.n)) == (not alpha)
             if sub.distance_route == "pairwise":
-                assert calls[-1] == (sub.n, sub.n if alpha else sub.n // (p - 1))
+                folded = sub.n if alpha else sub.n // (p - 1)
+                assert calls[:-1] == ([] if alpha else [(sub.n, folded)])
+                assert built == ([] if alpha else [(m, sub.n)]) + [(sub.M, folded)]
             else:  # only 7^5 alpha != 0 is over the cap
-                assert (p, m) == (7, 5) and alpha and calls == []
+                assert (p, m) == (7, 5) and alpha and calls == [] == built
 
 
 def test_pairwise_oracle_exact_on_words_of_one_nonzero_symbol():

@@ -1,7 +1,7 @@
 """Reports stay byte-identical to the stored `--no-timestamp` goldens.
 
-tests/golden/ holds the default `verify-sweep` report, the README's
-`build` examples, and `gauss-check` and `fibers` reports. The floats in the
+tests/golden/ holds the default `verify-sweep` report, one at p = 11 and 13,
+the README's `build` examples, and `gauss-check` and `fibers` reports. The floats in the
 `gauss-check` reports are deterministic, so they are compared byte for byte
 too. Regenerate a file only for an intended report change,
 with the command its test runs plus `--out`.
@@ -50,6 +50,14 @@ def test_default_sweep_on_the_largest_moduli_matches_golden(monkeypatch):
     assert len(built) == 12
     assert all(f.modulus != make_field(f.p, f.m).modulus for f in built)
     assert text == (GOLDEN / "verify-sweep-default.json").read_text()
+
+
+def test_sweep_past_p7_matches_golden(tmp_path):
+    # the oracle's words and maps at p = 11 and 13, which the default sweep never reaches
+    out = tmp_path / "sweep.json"
+    argv = ["verify-sweep", "--p", "11", "13", "--m", "2", "4", "--no-timestamp", "--out", str(out)]
+    assert main(argv) == 0
+    assert out.read_bytes() == (GOLDEN / "verify-sweep-p11-13-m2-4.json").read_bytes()
 
 
 @pytest.mark.parametrize(

@@ -196,35 +196,70 @@ def test_the_default_sweep_runs_the_oracle_33_times_every_time(monkeypatch):
 
 
 def test_every_named_map_is_kept_on_the_default_sweep(monkeypatch):
-    # a wrong P costs time, never a distance, so only this count shows one: scaling, the shift
-    # and Frobenius keep every D(alpha != 0) subcode the oracle runs on; scaling, Frobenius and
-    # sigma_lam every D(0) and E subcode
-    sets, kept, named, check = [], [], ccc._symmetries, ccc._kept_maps
+    # a wrong P costs time, never a distance, so only this count shows one: the fold proof holds
+    # on every D(0) and E subcode the oracle runs on, and scaling and Frobenius keep its words on
+    # the folded columns; scaling, the shift and Frobenius keep every D(alpha != 0) subcode
+    sets, folds, kept = [], [], []
+    named, fold, check = ccc._symmetries, ccc._fold, ccc._kept_maps
 
     def naming(code, rows):
         sets.append(code.defining_set)
         return named(code, rows)
 
+    def folding(code, maps):
+        columns, folded = fold(code, maps)
+        folds.append(len(columns) * (code.field.p - 1) == code.length)
+        return columns, folded
+
     def checking(words, symmetries):
         out = check(words, symmetries)
-        names = ["scale", "shift"][: len(symmetries) - 2] + ["frobenius", "sigma_lam"]
+        names = ["scale", "shift", "frobenius", "sigma_lam"]
+        names = names if len(symmetries) == 4 else ["scale", "frobenius"]
         kept.append(tuple(name for name, (_, sigma, perm) in zip(names, symmetries) if any(
             sigma is other and perm is same for _, other, same in out)))  # fmt: skip
         return out
 
     monkeypatch.setattr(ccc, "_symmetries", naming)
+    monkeypatch.setattr(ccc, "_fold", folding)
     monkeypatch.setattr(ccc, "_kept_maps", checking)
     report = run_sweep(SweepSpec())
     kinds = ["E" if ds.alpha is None else "D(0)" if ds.alpha == 0 else "D(alpha)" for ds in sets]
-    assert Counter(zip(kinds, kept)) == {
-        ("D(alpha)", ("scale", "shift", "frobenius")): 11,
-        ("D(0)", ("scale", "frobenius", "sigma_lam")): 12,
-        ("E", ("scale", "frobenius", "sigma_lam")): 10,
+    assert Counter(zip(kinds, folds, kept)) == {
+        ("D(alpha)", False, ("scale", "shift", "frobenius")): 11,
+        ("D(0)", True, ("scale", "frobenius")): 12,
+        ("E", True, ("scale", "frobenius")): 10,
     }
     golden = json.loads((Path(__file__).parent / "golden" / "verify-sweep-default.json").read_text())
     assert [i.detail.get("d_pairwise") for i in report.instances] == [
         i.get("detail", {}).get("d_pairwise") for i in golden["instances"]
     ]
+
+
+def test_the_default_sweep_builds_the_oracle_words_on_one_column_per_orbit(monkeypatch):
+    # D(0) and E: the m basis words x^i on all n columns, then the words on n/(p - 1) columns;
+    # D(alpha != 0), which meets each GF(p)^* orbit at most once: the words on all n columns
+    built, sets, trace, named = [], [], gfpm.Field.trace_of_multiples, ccc._symmetries
+
+    def building(field, a, x):
+        built.append((len(a), np.asarray(x)))
+        return trace(field, a, x)
+
+    monkeypatch.setattr(gfpm.Field, "trace_of_multiples", building)
+    monkeypatch.setattr(ccc, "_symmetries", lambda c, rows: sets.append((c, rows)) or named(c, rows))
+    run_sweep(SweepSpec())
+    calls, kinds = iter(built), Counter()
+    for code, rows in sets:
+        field, ds = code.field, code.defining_set
+        if not ds.alpha:
+            size, x = next(calls)
+            assert size == field.m and np.array_equal(x, ds.indices)
+        size, x = next(calls)
+        orbits = field.log[x] % ((field.q - 1) // (field.p - 1))  # log d mod e names d's orbit
+        assert size == len(rows) and np.isin(x, ds.indices).all()
+        assert len(x) == len(set(orbits.tolist())) == len(ds) // (1 if ds.alpha else field.p - 1)
+        kinds["D(alpha)" if ds.alpha else "D(0) or E"] += 1
+    assert next(calls, None) is None
+    assert kinds == {"D(alpha)": 11, "D(0) or E": 22}
 
 
 def test_no_sweep_imports_numpy_random():

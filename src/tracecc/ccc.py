@@ -24,18 +24,19 @@ optimality means M * denominator == n * d with no floating point involved.
 
 For alpha != 0, D(alpha) = c*D(alpha_ref) with c = alpha/alpha_ref in GF(p)^*, so
 c_a over D(alpha) is c_(ca) over D(alpha_ref) with its coordinates permuted, and c*I = I
-for the index set I: when that set identity is checked, a first-family code reads its
-census N[a] = N_ref[c*a] from a PairwiseReference (the field's first alpha != 0 code)
-instead of correlating, and its subcode takes the reference's distance, if the reference's
-oracle ran, instead of running the oracle, and reports the route.
+for the index set I. When that set identity is checked against a PairwiseReference (the
+field's first alpha != 0 subcode whose extraction completed), build_construction gathers
+the census N[a] = N_ref[c*a] instead of correlating and hands extraction the reference's
+distance, if its oracle ran, in place of the oracle; the subcode reports the route.
+Extraction reads nothing but its code and that distance.
 
 CONSTRUCTIONS is the one place that tells the paper's three constructions
 apart. Outside it, only the wrappers that the benchmark clocks by name branch on
 a construction name: extract_subcode_* here, and sweep's verify_*_instance and
 the run_sweep branch that picks one of them (and passes the reference only to the
 first construction). On alpha, the first construction's closed forms and bound
-checks branch at alpha = 0, and at alpha != 0 build_construction reads a reference's
-census and _extract fills the reference and reads its distance.
+checks branch at alpha = 0, and at alpha != 0 build_construction alone reads and
+fills the reference.
 """
 
 from __future__ import annotations
@@ -155,25 +156,23 @@ def _symmetries(code, rows) -> list:
 
     In order: scaling, lam*c_a = c_(lam*a); on D(alpha != 0) the shift, c_a + 1 = c_(a + 1/alpha);
     Frobenius, c_a[sigma] = c_(a^(1/p)), d_sigma(k) = d_k^p; and sigma_lam, c_a[sigma] = lam*c_a,
-    d_sigma(k) = lam*d_k, a permutation only where lam*D = D; lam = g^(+-(q-1)/(p-1)) generates
+    d_sigma(k) = lam*d_k, a permutation only where lam*D = D; lam = g^((q-1)/(p-1)) generates
     GF(p)^*. P(j) is the row of the image's kernel coset, or M off the rows: _kept_maps drops it.
     A d^p or lam*d outside D reads another column, so its map keeps the words only by chance.
     """
     field, ds = code.field, code.defining_set
     p, order, e = field.p, field.q - 1, (field.q - 1) // (field.p - 1)
-    a = field.prime_subfield_indices().index(field.powers[e])  # g^e generates GF(p)^*
-    passes = lambda pair: pair[1].bit_length() + pair[1].bit_count()  # _affine's, plus 2
-    lam, a = min((e, a), (order - e, pow(a, -1, p)), key=passes)  # lam as a power of g, its residue
+    a = field.prime_subfield_indices().index(field.powers[e])  # the residue of lam = g^e
     position = np.full(field.q, len(rows))  # the row of each element's kernel coset
     position[rows] = np.arange(len(rows))
     if len(code.kernel) > 1:  # GF(p): gathered at each coset's least element
         position = position[field.add_constant(np.arange(field.q))]
     logs, d = field.log[rows], field.log[ds.indices]
-    scale = position[field.powers[(logs + lam) % order]]
+    scale = position[field.powers[(logs + e) % order]]
     maps = [((a, 0, p), None, scale)]
     if ds.alpha:  # Tr((a + 1/alpha)*d) = Tr(a*d) + 1 on D(alpha)
         maps.append(((1, 1, p), None, position[field.add_constant(rows, pow(ds.alpha, -1, p))]))
-    images = field.powers[np.stack([p * d, d + lam]) % order]  # d^p and lam*d
+    images = field.powers[np.stack([p * d, d + e]) % order]  # d^p and lam*d
     frobenius, sigma_lam = np.minimum(np.searchsorted(ds.indices, images), len(ds) - 1)
     roots = field.powers[logs * (field.q // p) % order]  # a^(1/p) = a^(p^(m-1))
     return maps + [(None, frobenius, position[roots]), (None, sigma_lam, scale)]
@@ -208,36 +207,28 @@ def _fold(code, maps) -> tuple:
 
 @dataclass
 class PairwiseReference:
-    """The defining set, census and oracle distance of one field's first alpha != 0 code.
+    """One field's first alpha != 0 first-family subcode whose extraction completed.
 
-    Made empty per field by the caller. `_extract` keeps the set and (q, 2) census of the
-    first alpha != 0 first-family code it meets, whether or not its oracle runs, and the
-    distance if it ran. A later alpha != 0 code whose set passes `scaling` gathers its census
-    from the reference's (build_construction) and takes the distance if there is one.
+    Made empty per field by the caller; build_construction alone reads and fills it. The
+    subcode's source holds the reference's defining set and (q, 2) census, and its
+    d_pairwise the distance if its oracle ran.
     """
 
-    defining_set: Optional[DefiningSet] = None
-    counts: Optional[np.ndarray] = None
-    d_pairwise: Optional[int] = None
-    checked: tuple = (None, None, None)  # the last check: reference set, set, its scaling
+    sub: Optional[CccCode] = None
 
     def scaling(self, ds: DefiningSet) -> Optional[np.ndarray]:
         """c*a for every index a, c = alpha/alpha_ref, if c maps the reference's set onto `ds`
         as sorted index arrays, else None: then N[a] = N_ref[c*a] and the distances agree
-        (every index set I that _extract admits has c*I = I). The census and the distance
-        share one check of each set; a broken check runs the correlation and the oracle.
+        (every index set I that _extract admits has c*I = I).
         """
-        ref = self.defining_set
+        ref = None if self.sub is None else self.sub.source.defining_set
         if ref is None or ref.field != ds.field:
             return None
-        if self.checked[0] is not ref or self.checked[1] is not ds:
-            field = ds.field
-            c = ds.alpha * pow(ref.alpha, -1, field.p) % field.p
-            shift = field.log[field.prime_subfield_indices()[c]]  # c*x = g^(log c + log x), x != 0
-            scaled = np.where(field.log < 0, 0, field.powers[(field.log + shift) % (field.q - 1)])
-            same = np.array_equal(np.sort(scaled[ref.indices]), ds.indices)
-            self.checked = (ref, ds, scaled if same else None)
-        return self.checked[2]
+        field = ds.field
+        c = ds.alpha * pow(ref.alpha, -1, field.p) % field.p
+        shift = field.log[field.prime_subfield_indices()[c]]  # c*x = g^(log c + log x), x != 0
+        scaled = np.where(field.log < 0, 0, field.powers[(field.log + shift) % (field.q - 1)])
+        return scaled if np.array_equal(np.sort(scaled[ref.indices]), ds.indices) else None
 
 
 class CccParams(NamedTuple):
@@ -259,7 +250,7 @@ class CccCode:
     index_count: int
     d_pairwise: Optional[int]
     d_ambient: int
-    distance_route: str  # "pairwise", "transferred" (from a PairwiseReference) or "ambient-only"
+    distance_route: str  # "pairwise", "transferred" (handed to extraction) or "ambient-only"
     alpha: Optional[int] = None
     tau: Optional[int] = None
 
@@ -293,7 +284,7 @@ class CccCode:
         )
 
 
-def _extract(code: TraceCode, construction: str, *, reference=None) -> CccCode:
+def _extract(code: TraceCode, construction: str, *, transferred=None) -> CccCode:
     entry = CONSTRUCTIONS[construction]
     ds = code.defining_set
     if ds.kind != entry.defining_set:
@@ -308,18 +299,13 @@ def _extract(code: TraceCode, construction: str, *, reference=None) -> CccCode:
     composition_ok = bool((np.take(code.counts, index, axis=0) == code.counts[index[0]]).all())
     d_ambient = minimum_distance(code)
     d_pairwise, route = None, "ambient-only"
-    referenced = reference is not None and ds.alpha  # the first family at alpha != 0
-    if referenced and reference.defining_set is None:
-        reference.defining_set, reference.counts = ds, code.counts
-    if referenced and reference.d_pairwise is not None and reference.scaling(ds) is not None:
-        d_pairwise, route = reference.d_pairwise, "transferred"
+    if transferred is not None:  # checked by build_construction to carry over to this code
+        d_pairwise, route = transferred, "transferred"
     elif len(rows) <= PAIRWISE_ORACLE_CAP:  # the words and maps are made for the oracle alone
         columns, maps = _fold(code, _symmetries(code, rows))
         words = field.trace_of_multiples(rows, ds.indices[columns])
         d_pairwise = code.length // len(columns) * pairwise_min_distance(words, maps)
         route = "pairwise"
-        if reference is not None and reference.defining_set is ds:
-            reference.d_pairwise = d_pairwise
     return CccCode(
         code,
         construction,
@@ -335,12 +321,12 @@ def _extract(code: TraceCode, construction: str, *, reference=None) -> CccCode:
     )
 
 
-def extract_subcode_first(code: TraceCode, *, reference=None) -> CccCode:
+def extract_subcode_first(code: TraceCode, *, transferred=None) -> CccCode:
     """Subcode indexed by every a outside the prime subfield; deduplicated.
 
-    A PairwiseReference of the same field lends its distance when the check passes.
+    `transferred`, a distance checked to hold for this code, takes the oracle's place.
     """
-    return _extract(code, "first", reference=reference)
+    return _extract(code, "first", transferred=transferred)
 
 
 def extract_subcode_second(code: TraceCode, which: str) -> CccCode:
@@ -504,8 +490,9 @@ CONSTRUCTIONS = {
 def build_construction(field, construction: str, alpha=None, *, reference=None) -> tuple:
     """The ambient trace code and the subcode of one named construction.
 
-    `alpha` picks D(alpha) for the first construction and must be None for
-    the other two; `reference` reaches the first construction's extraction only.
+    `alpha` picks D(alpha) for the first construction and must be None for the other two.
+    `reference`, a PairwiseReference of the field, is read and filled here alone: at alpha != 0
+    a set that passes its scaling gathers its census and takes its distance.
     """
     entry = CONSTRUCTIONS.get(construction)
     if entry is None:
@@ -517,8 +504,15 @@ def build_construction(field, construction: str, alpha=None, *, reference=None) 
             raise ValueError(f"alpha {alpha} is not a residue mod {field.p}")
         ds = build_defining_set_D(field, alpha)
         scaled = reference.scaling(ds) if reference is not None and alpha else None
-        code = build_trace_code(ds) if scaled is None else TraceCode(ds, reference.counts[scaled])
-        return code, extract_subcode_first(code, reference=reference)
+        if scaled is None:
+            code = build_trace_code(ds)
+            sub = extract_subcode_first(code)
+        else:
+            code = TraceCode(ds, reference.sub.source.counts[scaled])
+            sub = extract_subcode_first(code, transferred=reference.sub.d_pairwise)
+        if reference is not None and alpha and reference.sub is None:  # a completed extraction
+            reference.sub = sub
+        return code, sub
     if alpha is not None:
         raise ValueError("--alpha applies to the first construction only")
     code = build_trace_code(build_defining_set_E(field))

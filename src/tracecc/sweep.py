@@ -238,10 +238,10 @@ def plan_sweep(spec: SweepSpec) -> list:
 def run_sweep(spec: SweepSpec) -> VerificationReport:
     """Run the planned instances, building each field once.
 
-    The first family's alpha != 0 instances of a field share one PairwiseReference,
-    dropped with the field, so the correlation and oracle run once per field for them. A
-    TraceCCError in an instance becomes a fail record carrying the error, and the
-    sweep goes on.
+    The first family's alpha != 0 instances of a field share one PairwiseReference, made
+    empty for the field and dropped with it: the first of them whose extraction completes
+    fills it, so the correlation and oracle run once per field for them. A TraceCCError in
+    an instance becomes a fail record carrying the error, and the sweep goes on.
     """
     fields, reference = {}, None
     records = []

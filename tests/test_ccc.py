@@ -662,25 +662,24 @@ TRANSFER_FIELDS = [(3, 2), (3, 3), (3, 4), (3, 5), (5, 2), (5, 3), (5, 4), (7, 2
 @pytest.mark.parametrize("p,m", TRANSFER_FIELDS)
 def test_transferred_distance_equals_the_oracles(p, m):
     field, reference = make_field(p, m), PairwiseReference()
-    first = extract_subcode_first(d_code(field, 1), reference=reference)
-    assert first.distance_route == "pairwise" and reference.d_pairwise == first.d_pairwise
+    first = build_construction(field, "first", 1, reference=reference)[1]
+    assert first.distance_route == "pairwise" and reference.sub.d_pairwise == first.d_pairwise
     for alpha in range(2, p):
-        code = d_code(field, alpha)
-        sub = extract_subcode_first(code, reference=reference)
-        oracle = extract_subcode_first(code)
+        sub = build_construction(field, "first", alpha, reference=reference)[1]
+        oracle = extract_subcode_first(d_code(field, alpha))
         assert (sub.distance_route, oracle.distance_route) == ("transferred", "pairwise")
         assert sub.d_pairwise == oracle.d_pairwise == first.d_pairwise
-        assert reference.defining_set.alpha == 1  # the first instance whose oracle ran stays
+        assert reference.sub.source.defining_set.alpha == 1  # the first completed one stays
 
 
 def test_alpha_zero_and_the_second_family_neither_fill_nor_read_a_reference():
     field, reference = make_field(3, 4), PairwiseReference()
     for construction, alpha in [("first", 0), ("second-S", None)]:
-        code = build_construction(field, construction, alpha)[0]
-        assert ccc._extract(code, construction, reference=reference).distance_route == "pairwise"
-        assert reference.defining_set is None
-    reference.defining_set, reference.d_pairwise = d_code(field, 1).defining_set, 999
-    zero = extract_subcode_first(d_code(field, 0), reference=reference)
+        sub = build_construction(field, construction, alpha, reference=reference)[1]
+        assert sub.distance_route == "pairwise"
+        assert reference.sub is None
+    reference.sub = replace(build_construction(field, "first", 1)[1], d_pairwise=999)
+    zero = build_construction(field, "first", 0, reference=reference)[1]
     assert zero.distance_route == "pairwise" and zero.d_pairwise == 18
 
 
@@ -693,31 +692,31 @@ def _without_the_last_index(field):
 @pytest.mark.parametrize("broken", ["reference-set", "index-closure"])
 def test_a_broken_check_drops_the_transfer(monkeypatch, broken):
     field, reference = make_field(5, 3), PairwiseReference()
-    extract_subcode_first(d_code(field, 1), reference=reference)
-    code = d_code(field, 2)
-    assert extract_subcode_first(code, reference=reference).distance_route == "transferred"
-    indices = reference.defining_set.indices.copy()
+    build_construction(field, "first", 1, reference=reference)
+    sub = build_construction(field, "first", 2, reference=reference)[1]
+    assert sub.distance_route == "transferred"
+    indices = reference.sub.source.defining_set.indices.copy()
     if broken == "reference-set":  # one element of D(1) swapped for one outside it
         indices[0] = np.setdiff1d(np.arange(1, field.q), indices)[0]
-        reference.defining_set = DefiningSet(field, "D-alpha", 1, np.sort(indices))
+        reference.sub.source.defining_set = DefiningSet(field, "D-alpha", 1, np.sort(indices))
     else:
         entry = CONSTRUCTIONS["first"]._replace(index_mask=_without_the_last_index)
         monkeypatch.setitem(CONSTRUCTIONS, "first", entry)
-    reference.d_pairwise = 999  # would show if the transfer still ran
+    reference.sub.d_pairwise = 999  # would show if the transfer still ran
     if broken == "index-closure":  # not closed under GF(p)^*: refused before any distance
         with pytest.raises(IdentityViolation, match=r"not closed under GF\(p\)\^\*"):
-            extract_subcode_first(code, reference=reference)
+            build_construction(field, "first", 2, reference=reference)
     else:
-        sub = extract_subcode_first(code, reference=reference)
+        code, sub = build_construction(field, "first", 2, reference=reference)
         assert sub.distance_route == "pairwise"
         assert sub.d_pairwise == extract_subcode_first(code).d_pairwise == sub.d_ambient
 
 
 def test_a_reference_of_another_field_is_not_read():
     reference = PairwiseReference()  # indices of GF(81) lie past the end of GF(27)'s tables
-    extract_subcode_first(d_code(make_field(3, 4), 1), reference=reference)
-    code = d_code(make_field(3, 3), 2)
-    assert extract_subcode_first(code, reference=reference).distance_route == "pairwise"
+    build_construction(make_field(3, 4), "first", 1, reference=reference)
+    sub = build_construction(make_field(3, 3), "first", 2, reference=reference)[1]
+    assert sub.distance_route == "pairwise"
 
 
 def counted_correlations(monkeypatch):
@@ -749,8 +748,8 @@ def test_a_census_gathered_from_the_reference_equals_its_own_correlation(monkeyp
 def test_a_reference_set_that_fails_the_identity_lends_no_census(monkeypatch):
     field, reference = make_field(5, 3), PairwiseReference()
     build_construction(field, "first", 1, reference=reference)
-    dropped = reference.defining_set.indices[:-1]  # one index dropped
-    reference.defining_set = DefiningSet(field, "D-alpha", 1, dropped)
+    dropped = reference.sub.source.defining_set.indices[:-1]  # one index dropped
+    reference.sub.source.defining_set = DefiningSet(field, "D-alpha", 1, dropped)
     made = counted_correlations(monkeypatch)
     code, sub = build_construction(field, "first", 2, reference=reference)
     assert made == [("D-alpha", 2)]

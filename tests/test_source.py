@@ -3,10 +3,11 @@
 import ast
 import re
 import shlex
+from dataclasses import fields
 from pathlib import Path
 
 import tracecc
-from tracecc import cli
+from tracecc import ccc, cli
 
 PACKAGE = Path(tracecc.__file__).parent
 README = Path(__file__).parents[1] / "README.md"
@@ -90,6 +91,29 @@ def test_only_plan_sweep_names_a_skip():
             ]
     assert [where for owner, _, where in found if owner != "sweep.plan_sweep"] == []
     assert {reason for _, reason, _ in found} == set(reasons)
+
+
+def test_only_build_construction_reads_or_fills_a_pairwise_reference():
+    # one owner of the first family's alpha != 0 sharing: build_construction alone runs the
+    # scaling check and reads or fills the reference, and extraction is handed a distance
+    names = {field.name for field in fields(ccc.PairwiseReference)} | {"scaling"}
+    extractors = ("ccc._extract", "ccc.extract_subcode_first", "ccc.extract_subcode_second")
+    found, parameters = [], {}
+    for path in sorted(PACKAGE.glob("*.py")):
+        for top in ast.parse(path.read_text(), filename=str(path)).body:
+            owner = f"{path.stem}.{getattr(top, 'name', '<module>')}"
+            found += [
+                (owner, node.attr, f"{path.name}:{node.lineno} in {owner}")
+                for node in ast.walk(top)
+                if isinstance(node, ast.Attribute) and node.attr in names
+            ]
+            if owner in extractors:
+                parameters[owner] = [a.arg for a in ast.walk(top.args) if isinstance(a, ast.arg)]
+    owners = ("ccc.build_construction", "ccc.PairwiseReference")  # the class reads its own field
+    assert [where for owner, _, where in found if owner not in owners] == []
+    assert {name for owner, name, _ in found if owner == "ccc.build_construction"} == names
+    assert sorted(parameters) == sorted(extractors)
+    assert [owner for owner, args in parameters.items() if "reference" in args] == []
 
 
 def test_only_gfpm_turns_the_trace_form_into_arrays():

@@ -12,7 +12,8 @@ import numpy as np
 import pytest
 
 from tracecc import (
-    DegenerateSet, NotPrime, SweepSpec, ccc, charsums, codes, gfpm, make_field, run_sweep, sweep
+    DegenerateSet, DuplicateWords, NotPrime, SweepSpec, ccc, charsums, codes, gfpm, make_field,
+    run_sweep, sweep,
 )
 from tracecc.codes import WeightDistribution
 
@@ -288,13 +289,39 @@ def test_a_two_prime_sweep_never_carries_a_reference_across_fields(monkeypatch):
     report = run_sweep(SweepSpec(p_list=(3, 5), m_min=2, m_max=2, constructions=("first",)))
     assert len({id(reference) for _, _, reference in seen}) == 2  # one per field
     for field, alpha, reference in seen:
-        assert reference.defining_set.field is field and reference.defining_set.alpha == 1
+        ref = reference.sub.source.defining_set
+        assert ref.field is field and ref.alpha == 1
     routes = [(i.p, i.alpha, i.detail["distance_route"]) for i in report.instances]
     assert routes == [
         (3, 0, "pairwise"), (3, 1, "pairwise"), (3, 2, "transferred"),
         (5, 0, "pairwise"), (5, 1, "pairwise"),
         (5, 2, "transferred"), (5, 3, "transferred"), (5, 4, "transferred"),
     ]  # fmt: skip
+
+
+def test_an_alpha_whose_extraction_fails_lends_nothing(monkeypatch):
+    # the first alpha != 0 oracle call raises, so alpha = 1 fails; alpha = 2 then becomes the
+    # reference: it correlates and runs its oracle, and alpha = 3 and 4 take its census and distance
+    made, raised, oracle, count = [], [], ccc.pairwise_min_distance, codes.trace_count_table
+    monkeypatch.setattr(codes, "trace_count_table", lambda ds: made.append(ds.alpha) or count(ds))
+
+    def failing_once(words, symmetries=()):
+        if len(symmetries) == 4 and not raised:  # only D(alpha != 0) names the shift
+            raised.append(len(made))
+            raise DuplicateWords("injected")
+        return oracle(words, symmetries)
+
+    monkeypatch.setattr(ccc, "pairwise_min_distance", failing_once)
+    report = run_sweep(SweepSpec(p_list=(5,), m_min=3, m_max=3, constructions=("first",)))
+    ran = {i.alpha: i for i in report.instances}
+    assert ran[1].status == "fail" and ran[1].reason.startswith("DuplicateWords")
+    assert ran[2].status == "ok" and ran[2].detail["distance_route"] == "pairwise"
+    for alpha in (3, 4):
+        assert ran[alpha].status == "ok"
+        assert ran[alpha].detail["distance_route"] == "transferred"
+        assert ran[alpha].detail["d_pairwise"] == ran[2].detail["d_pairwise"]
+    assert raised == [2]  # alpha = 1's oracle, after D(0) and D(1) correlated
+    assert made == [0, 1, 2]  # three first-family correlations
 
 
 def test_composition_violation_is_a_fail_record(monkeypatch):

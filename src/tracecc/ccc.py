@@ -141,13 +141,13 @@ def _kept_maps(w, symmetries) -> list:
 
 
 def _affine(rows, a, b, p) -> np.ndarray:
-    """a*rows + b mod p in uint8 for a, b in 0..p-1: double-and-add, one bit of a at a time, or
-    in 16 bits for one a per column."""
-    x = acc = rows.view(np.uint8)
-    if np.ndim(a):
-        return ((x * a.astype(np.uint16) + b) % p).astype(np.uint8)
-    for bit in bin(a)[3:]:
-        acc = add_mod(acc, acc, p) if bit == "0" else add_mod(add_mod(acc, acc, p), x, p)
+    """a*rows + b mod p in uint8 for a, b in 0..p-1 and p <= 127, as add_mod; a is one multiplier
+    or one per column. Double-and-add from a's top bit, x masked in where a column's bit is set."""
+    x, a = rows.view(np.uint8), np.asarray(a)
+    masked = lambda bit: x if bit.all() else x & (bit * 255).astype(np.uint8)
+    acc = masked(a >> (top := int(a.max()).bit_length() - 1) & 1)
+    for bit in (a >> t & 1 for t in range(top - 1, -1, -1)):
+        acc = add_mod(add_mod(acc, acc, p), masked(bit), p) if bit.any() else add_mod(acc, acc, p)
     return add_mod(acc, b, p) if b else acc
 
 

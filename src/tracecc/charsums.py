@@ -6,10 +6,10 @@ into complex numbers at the very end, which keeps roundoff far below the
 comparison tolerance. Closed-form predictions compute powers of sqrt(-1) as
 exact quarter turns so the predictor side cannot drift in sign.
 
-Completed quadratic sums run in batches of triples of element indices, by the
-log table `Field.log`: the residues of y = g^k are window rows of the sequence
-Tr(g^k), and the quotients are powers of g. No scalar trace or inverse runs per
-triple, and the scalar routes stay the oracle.
+Completed quadratic sums run in blocks of triples of element indices, by the log
+table `Field.log`: the residues of y = g^k are contiguous window rows of Tr(g^j)
+and of its half of log a2's parity, and the quotients are powers of g. No scalar
+trace or inverse runs per triple, and the scalar routes stay the oracle.
 
 Trace fibers come as one census per kind, a single histogram over every
 alpha of Tr(x) or Tr(x**2), beside the closed-form sizes.
@@ -27,9 +27,9 @@ from .gfpm import Field, FieldElement, add_mod, make_field
 
 #: absolute tolerance, per real/imaginary component, for closed-form agreement
 EPS = 1e-9
-#: trace residues (triples times q - 1) one block of quadratic_sums holds; peak RSS after 100
-#: charsums passes in one process read 32.0-32.2 MB with it and with 2**16 (numpy 2.4.6, 2 cores)
-QUADRATIC_BLOCK_CELLS = 2**14
+#: trace residues (triples times q - 1) one block of quadratic_sums holds; 2**14 -> 2**16 took a
+#: charsums-fields pass from 31 to 27 ms and its peak RSS from 34.3 to 34.6 MB (numpy 2.4.6)
+QUADRATIC_BLOCK_CELLS = 2**16
 
 _QUARTER_TURNS = (1, 1j, -1, -1j)
 
@@ -102,25 +102,23 @@ def quadratic_sums(field: Field, a2, a1, a0):
     """quadratic_sum for index arrays of triples, a2 nonzero: complex arrays (direct, closed).
 
     For y = g^k, Tr(a2*y**2) = T[log a2 + 2k] and Tr(a1*y) = T[log a1 + k] with T[j] = Tr(g^j):
-    each triple's residues over k < q-1 are a window row of T read at stride 2, another read at
-    stride 1, and Tr(a0); y = 0 adds one count at Tr(a0). The direct side runs in blocks of triples
-    that hold about QUADRATIC_BLOCK_CELLS residues (a triple takes q - 1 of them).
+    each triple's residues over k < q-1 are a window row of Field.power_traces over T's half of
+    log a2's parity, one over T, and Tr(a0); y = 0 adds one count at Tr(a0). The direct side runs
+    in blocks of QUADRATIC_BLOCK_CELLS // q triples, each holding q - 1 residues.
     """
     p, order, zeta, log = field.p, field.q - 1, _zeta_table(field.p), field.log
-    if (log[a2] < 0).any():
+    if ((l2 := log[a2]) < 0).any():
         raise ZeroLeadingCoefficient("leading coefficient must be nonzero")
-    span = 2 * order - 1  # a stride-2 row of q-1 residues; its first q-1 are the stride-1 row
-    t = np.pad(np.tile(field.trace_table[field.powers], 3), (0, span)).view(np.uint8)
-    w = np.lib.stride_tricks.sliding_window_view(t, span)  # row -1 (log[0]) is all zeros
+    w = np.lib.stride_tricks.sliding_window_view(field.power_traces, order, axis=1)
+    squares = l2 % 2 * 2 * order + l2 // 2  # a2's row of w[1]
     rows = max(1, QUADRATIC_BLOCK_CELLS // field.q)
     evaluated = np.empty(len(a2), dtype=np.complex128)
-    for s in range(0, len(a2), rows):
-        b2, b1, b0 = a2[s : s + rows], a1[s : s + rows], a0[s : s + rows]
-        t0, bins = field.trace_table[b0].view(np.uint8), p * np.arange(len(b2))
-        residues = add_mod(add_mod(w[log[b2], ::2], w[log[b1], :order], p), t0[:, None], p)
+    for b in (slice(s, s + rows) for s in range(0, len(a2), rows)):
+        t0, bins = field.trace_table[a0[b]].view(np.uint8), p * np.arange(len(squares[b]))
+        residues = add_mod(add_mod(w[1, squares[b]], w[0, log[a1[b]]], p), t0[:, None], p)
         counts = np.bincount((residues + bins[:, None]).ravel(), minlength=len(bins) * p)
         counts[bins + t0] += 1  # y = 0; triple r counts into bins r*p .. r*p + p-1
-        evaluated[s : s + len(b2)] = np.vecdot(counts.reshape(-1, p).astype(np.float64), zeta)
+        evaluated[b] = np.vecdot(counts.reshape(-1, p).astype(np.float64), zeta)
     shift_trace, eta = completed_square(field, a2, a1, a0)
     return evaluated, zeta[shift_trace] * eta * gauss_sum_closed_fq(p, field.m)
 

@@ -185,7 +185,7 @@ def weight_distribution(code: TraceCode) -> WeightDistribution:
     census, rest = np.divmod(np.bincount(code.weights), len(code.kernel))
     if rest.any():
         raise IdentityViolation(f"a weight count is not a multiple of {len(code.kernel)}")
-    return WeightDistribution.from_counts(dict(enumerate(census)))
+    return WeightDistribution(tuple((int(w), int(census[w])) for w in np.flatnonzero(census)))
 
 
 def minimum_distance(code: TraceCode) -> int:

@@ -301,6 +301,16 @@ class Field:
         spectra.setflags(write=False)
         return spectra
 
+    @cached_property
+    def power_traces(self) -> np.ndarray:
+        """(2, 4(q-1)) uint8: T[j] = Tr(g^j) over three periods of g and q-1 zeros, then T[0::2]
+        and T[1::2]. Windows of q-1 read Tr(a*g^k) in row 0 at log a (zeros at log 0 = -1), and
+        Tr(a*g^(2k)) = T[log a + 2k] in row 1 at (log a % 2)*2(q-1) + log a // 2."""
+        t = np.pad(np.tile(self.trace_table[self.powers].view(np.uint8), 3), (0, self.q - 1))
+        table = np.stack([t, t.reshape(-1, 2).T.ravel()])
+        table.setflags(write=False)
+        return table
+
     def add_constant(self, a, c=None):
         """Indices of a + c, c in GF(p), by the leading digit; without c, the least of a + GF(p)."""
         w0 = self._index_weights[0]

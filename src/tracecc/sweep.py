@@ -17,6 +17,7 @@ from dataclasses import dataclass, field as dataclass_field
 
 import numpy as np
 
+from . import charsums
 from .ccc import CONSTRUCTIONS, PAIRWISE_ORACLE_CAP, PairwiseReference, build_construction, ccc_json
 from .charsums import (
     EPS,
@@ -286,11 +287,11 @@ def gauss_check(field: Field, seed=None) -> dict:
     fq = entry(gauss_sum_fq(field))
     fp = entry(gauss_sum_fp(p))
     if q <= EXHAUSTIVE_TRIPLE_LIMIT:
-        mode = "exhaustive"
-        a1, a0 = np.divmod(np.arange(q * q), q)
-        # a single call over all triples raised the charsums-fields benchmark's peak RSS
-        # from 35.0-35.2 to 37.2-37.6 MB (past its 5% bound), so the batches stay per a2
-        batches = ((np.full(q * q, a2), a1, a0) for a2 in range(1, q))  # one per nonzero a2
+        # runs of a2*q*q + a1*q + a0 from a2 = 1, one quadratic_sums block each: a single call over
+        # all triples raised the charsums-fields peak RSS from 35.0-35.2 to 37.2-37.6 MB (bound 5%)
+        mode, run = "exhaustive", max(1, charsums.QUADRATIC_BLOCK_CELLS // q)
+        starts = range(q * q, q**3, run)
+        batches = (np.unravel_index(np.arange(s, min(s + run, q**3)), (q, q, q)) for s in starts)
     else:
         mode = "random"
         rng = random.Random(seed if seed is not None else 10_007 * p + m)

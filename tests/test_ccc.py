@@ -42,6 +42,7 @@ from tracecc import (
 from tracecc.ccc import (
     CONSTRUCTIONS,
     PairwiseReference,
+    _affine,
     _fold,
     _kept_maps,
     _symmetries,
@@ -494,6 +495,19 @@ def test_a_broken_fold_proof_builds_the_words_on_every_column(monkeypatch, broke
     assert built == [(m, sub.n), (sub.M, sub.n)]  # the basis words, then every column
     assert sub.distance_route == "pairwise"
     assert sub.d_pairwise == naive_pairwise_min(sub.words.tolist()) == sub.d_ambient
+
+
+@pytest.mark.parametrize("p", [3, 5, 7, 11, 13, 31, 127])
+def test_affine_matches_integer_arithmetic(p):
+    rng = np.random.default_rng(p)
+    rows = rng.integers(0, p, (6, 2 * p)).astype(np.int8)
+    per_column = np.tile(np.arange(1, p), 3)[: 2 * p]  # every unit, so every top bit
+    for b in (0, 1, p - 1):
+        for a in range(1, p):
+            expected = (a * rows.astype(np.int64) + b) % p
+            assert _affine(rows, a, b, p).tolist() == expected.tolist()
+        expected = (per_column * rows.astype(np.int64) + b) % p
+        assert _affine(rows, per_column, b, p).tolist() == expected.tolist()
 
 
 def test_a_monomial_frobenius_map_with_one_multiplier_off_is_dropped():

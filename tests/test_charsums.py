@@ -170,6 +170,22 @@ def test_quadratic_sums_direct_side_matches_scalar_traces(p, m, sample):
         assert abs(value - direct) < 1e-9
 
 
+@pytest.mark.parametrize("p,m", [(3, 2), (5, 2), (3, 3), (7, 2)])
+def test_quadratic_sums_direct_side_at_even_and_odd_logs(p, m):
+    # Tr(a2*g^(2k)) reads the even half of Tr(g^j) at an even log a2 and the odd half at an odd
+    f = make_field(p, m)
+    logs = [0, 1, 2, 3, f.q - 3, f.q - 2]  # q - 3 is even, q - 2 odd
+    a1 = [0, 1, int(f.powers[-1])]
+    a2, a1, a0 = (np.array(x).ravel() for x in np.meshgrid(f.powers[logs], a1, [0, f.q - 1]))
+    evaluated, _ = quadratic_sums(f, a2, a1, a0)
+    elements, zeta = list(enumerate_field(f)), cmath.exp(2j * cmath.pi / p)
+    assert {int(f.log[i]) % 2 for i in a2} == {0, 1}
+    for value, abc in zip(evaluated, zip(a2, a1, a0)):
+        c2, c1, c0 = (f.element_at(int(i)) for i in abc)
+        direct = sum(zeta ** (c2 * x * x + c1 * x + c0).trace() for x in elements)
+        assert abs(value - direct) < 1e-9
+
+
 def test_quadratic_sum_matches_naive_summation(f9):
     a2, a1, a0 = f9.element([1, 1]), f9.element([0, 2]), f9.element([2, 0])
     evaluated, _ = quadratic_sum(a2, a1, a0)

@@ -286,8 +286,9 @@ def test_building_every_table_takes_no_scalar_trace_or_power(monkeypatch):
     for p, m in [(7, 5), (3, 1)]:
         f = make_field(p, m)
         for table in ("trace_form", "trace_table", "powers", "log", "trace_spectra",
-                      "square_index_table", "quadratic_character_table"):  # fmt: skip
+                      "square_index_table", "quadratic_character_table", "power_traces"):  # fmt: skip
             getattr(f, table)
+        assert not f.power_traces.flags.writeable
     assert calls == []
     make_field(3, 2).element_at(1) ** 2  # the counters do see the scalar routes
     make_field(3, 2).element_at(1).trace()
@@ -375,6 +376,15 @@ def test_powers_and_log_match_scalar_powers(p, m):
     # g is the first element of order q - 1 in canonical order
     assert order(g) == f.q - 1
     assert all(order(f.element_at(i)) < f.q - 1 for i in range(1, g.index))
+
+
+@pytest.mark.parametrize("p,m", [(3, 1), (3, 2), (5, 2), (3, 3)])
+def test_power_traces_are_scalar_traces_of_powers_then_their_halves(p, m):
+    f = make_field(p, m)
+    g = f.element_at(int(f.powers[1]))
+    t = [(g**j).trace() for j in range(f.q - 1)] * 3 + [0] * (f.q - 1)
+    assert f.power_traces.dtype == np.uint8
+    assert f.power_traces.tolist() == [t, t[0::2] + t[1::2]]
 
 
 @pytest.mark.parametrize("p", [131, 257])

@@ -369,6 +369,35 @@ def test_gauss_check_takes_no_scalar_trace_or_inverse_per_triple(monkeypatch):
     assert inverted == []
 
 
+@pytest.mark.parametrize("p,m", [(3, 2), (5, 2), (3, 3)])
+def test_gauss_check_covers_every_triple_once_in_blocks(monkeypatch, p, m):
+    field, calls = make_field(p, m), []
+    quadratic_sums = sweep.quadratic_sums
+
+    def recording(f, a2, a1, a0):
+        calls.append(np.stack([a2, a1, a0]))
+        return quadratic_sums(f, a2, a1, a0)
+
+    monkeypatch.setattr(sweep, "quadratic_sums", recording)
+    report, q = sweep.gauss_check(field), field.q
+    block = charsums.QUADRATIC_BLOCK_CELLS // q
+    flat = np.concatenate([np.ravel_multi_index(tuple(c), (q, q, q)) for c in calls])
+    assert np.array_equal(flat, np.arange(q * q, q**3))  # a2 != 0, a2-major, each once
+    assert max(c.shape[1] for c in calls) <= block
+    assert len(calls) == -(-(q - 1) * q * q // block)
+    assert report["quadratic"]["count"] == (q - 1) * q * q
+
+
+def test_gauss_check_reports_the_same_with_one_triple_a_block(monkeypatch, f9):
+    report = sweep.gauss_check(f9)
+    monkeypatch.setattr(charsums, "QUADRATIC_BLOCK_CELLS", f9.q)  # one triple a call
+    calls = []
+    quadratic_sums = sweep.quadratic_sums
+    monkeypatch.setattr(sweep, "quadratic_sums", lambda *a: calls.append(a) or quadratic_sums(*a))
+    assert sweep.gauss_check(f9) == report
+    assert len(calls) == 8 * 9 * 9 and {len(c[1]) for c in calls} == {1}
+
+
 def test_fiber_check_keeps_both_numbers_of_a_failing_row(monkeypatch):
     predicted = charsums.predicted_square_trace_fiber
     monkeypatch.setattr(
